@@ -6,6 +6,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -17,7 +18,7 @@ import (
 
 func main() {
 	fmt.Println("Measuring the FDCT active region on the simulated board...")
-	run, err := evaluation.RunBenchmark(beebs.Get("fdct"), mcc.O2, evaluation.Options{})
+	run, err := evaluation.NewSweep(1).RunBenchmark(context.Background(), beebs.Get("fdct"), mcc.O2, evaluation.Options{})
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -2,6 +2,7 @@ package evaluation
 
 import (
 	"fmt"
+	"slices"
 	"strings"
 
 	"repro/internal/core"
@@ -11,7 +12,8 @@ import (
 // Document is the `beebsbench -json` output schema: one optional section
 // per selected experiment plus the sweep's reuse ledgers. It lives here
 // (rather than in the CLI) so shard fragments can be merged — and that
-// merge tested — against the exact emitted shape.
+// merge tested — against the exact emitted shape. Each section's slot is
+// filled and merged by its Sections entry.
 //
 // Field order is the emission order; changing it changes every golden
 // byte downstream.
@@ -67,8 +69,9 @@ func badFragment(name, format string, a ...any) error {
 //
 // Validation is strict — all failures are errs.ErrBadInput:
 //
-//   - every fragment must carry shard metadata with one consistent count
-//   - the indices must be exactly 0..count-1, no duplicates, none missing
+//   - every fragment must carry shard metadata with one consistent
+//     count, equal to the number of fragments
+//   - the indices must be exactly 0..count-1, no duplicates
 //   - every fragment must have selected the same sections
 //   - incomplete fragments are rejected (re-run that shard instead:
 //     interleaving partial sections would silently misattribute cells)
@@ -76,9 +79,11 @@ func badFragment(name, format string, a ...any) error {
 //     different invocation — other levels, another -top — cannot pass
 //     itself off as the missing piece)
 //
-// The merged document is ledger-free: session/solver stats, wall time
-// and worker counts describe each producing process, not the experiment,
-// so the merge result is byte-identical to an unsharded `-noledger` run.
+// Each selected section is reassembled by its Sections entry's merge
+// rule. The merged document is ledger-free: session/solver stats, wall
+// time and worker counts describe each producing process, not the
+// experiment, so the merge result is byte-identical to an unsharded
+// `-noledger` run.
 func MergeShards(fragments []Document, names []string) (*Document, error) {
 	if len(fragments) == 0 {
 		return nil, errs.BadInput(fmt.Errorf("merge: no fragments"))
@@ -90,10 +95,15 @@ func MergeShards(fragments []Document, names []string) (*Document, error) {
 		return fmt.Sprintf("fragment %d", i)
 	}
 
-	n := 0
-	if fragments[0].Shard != nil {
-		n = fragments[0].Shard.Count
+	first := fragments[0].Shard
+	if first == nil {
+		return nil, badFragment(name(0), "not a shard fragment (no shard metadata)")
 	}
+	n := first.Count
+	if n < 1 || n != len(fragments) {
+		return nil, badFragment(name(0), "shard count %d, but %d fragments given", n, len(fragments))
+	}
+	// With exactly n fragments, in-range distinct indices fill every slot.
 	byIndex := make([]*Document, n)
 	for i := range fragments {
 		f := &fragments[i]
@@ -108,169 +118,23 @@ func MergeShards(fragments []Document, names []string) (*Document, error) {
 		case f.Status != "":
 			return nil, badFragment(name(i), "fragment is %s — re-run shard %d/%d",
 				f.Status, f.Shard.Index, n)
-		case strings.Join(f.Shard.Sections, ",") != strings.Join(fragments[0].Shard.Sections, ","):
+		case strings.Join(f.Shard.Sections, ",") != strings.Join(first.Sections, ","):
 			return nil, badFragment(name(i), "sections %v conflict with %s's %v",
-				f.Shard.Sections, name(0), fragments[0].Shard.Sections)
+				f.Shard.Sections, name(0), first.Sections)
 		case byIndex[f.Shard.Index] != nil:
 			return nil, badFragment(name(i), "duplicate fragment for shard %d/%d", f.Shard.Index, n)
 		}
 		byIndex[f.Shard.Index] = f
 	}
-	for i, f := range byIndex {
-		if f == nil {
-			return nil, errs.BadInput(fmt.Errorf("merge: missing fragment for shard %d/%d", i, n))
-		}
-	}
-
-	// interleave validates that the per-fragment section lengths form one
-	// partition and returns the merged cell count: merged cell j comes
-	// from fragment j%n at position j/n, undoing the drivers' j%n==i
-	// ownership rule.
-	interleave := func(section string, lens []int) (int, error) {
-		total := 0
-		for _, l := range lens {
-			total += l
-		}
-		for i, l := range lens {
-			if want := shardLen(total, n, i); l != want {
-				return 0, badFragment(name(0), "%s: shard %d/%d has %d cells, want %d of %d — fragments are not one partition",
-					section, i, n, l, want, total)
-			}
-		}
-		return total, nil
-	}
 
 	out := &Document{}
-	if selected(fragments[0].Shard.Sections, "fig5") {
-		lens := make([]int, n)
-		for i, f := range byIndex {
-			lens[i] = len(f.Fig5)
+	for _, s := range Sections() {
+		if !slices.Contains(first.Sections, s.Name) {
+			continue
 		}
-		total, err := interleave("fig5", lens)
-		if err != nil {
-			return nil, err
-		}
-		for j := 0; j < total; j++ {
-			out.Fig5 = append(out.Fig5, byIndex[j%n].Fig5[j/n])
-		}
-	}
-
-	if selected(fragments[0].Shard.Sections, "aggregate") {
-		lens := make([]int, n)
-		for i, f := range byIndex {
-			if f.Aggregate == nil {
-				return nil, badFragment(name(0), "aggregate: shard %d/%d has no aggregate section", i, n)
-			}
-			lens[i] = len(f.Aggregate.Runs)
-		}
-		total, err := interleave("aggregate", lens)
-		if err != nil {
-			return nil, err
-		}
-		runs := make([]RunJSON, 0, total)
-		for j := 0; j < total; j++ {
-			runs = append(runs, byIndex[j%n].Aggregate.Runs[j/n])
-		}
-		agg := recomputeAggregate(runs)
-		out.Aggregate = &agg
-	}
-
-	if selected(fragments[0].Shard.Sections, "savers") {
-		lens := make([]int, n)
-		for i, f := range byIndex {
-			lens[i] = len(f.Savers)
-		}
-		total, err := interleave("savers", lens)
-		if err != nil {
-			return nil, err
-		}
-		for j := 0; j < total; j++ {
-			out.Savers = append(out.Savers, byIndex[j%n].Savers[j/n])
-		}
-	}
-
-	// The case study is a single cell; it belongs to shard 0.
-	out.CaseStudy = byIndex[0].CaseStudy
-
-	if selected(fragments[0].Shard.Sections, "fig9") {
-		lens := make([]int, n)
-		for i, f := range byIndex {
-			lens[i] = len(f.Fig9)
-		}
-		total, err := interleave("fig9", lens)
-		if err != nil {
-			return nil, err
-		}
-		for j := 0; j < total; j++ {
-			out.Fig9 = append(out.Fig9, byIndex[j%n].Fig9[j/n])
-		}
-	}
-
-	if selected(fragments[0].Shard.Sections, "select") {
-		lens := make([]int, n)
-		for i, f := range byIndex {
-			lens[i] = len(f.Selection)
-		}
-		total, err := interleave("selection", lens)
-		if err != nil {
-			return nil, err
-		}
-		for j := 0; j < total; j++ {
-			out.Selection = append(out.Selection, byIndex[j%n].Selection[j/n])
-		}
-	}
-
-	if selected(fragments[0].Shard.Sections, "intermittent") {
-		lens := make([]int, n)
-		for i, f := range byIndex {
-			lens[i] = len(f.Intermittent)
-		}
-		total, err := interleave("intermittent", lens)
-		if err != nil {
-			return nil, err
-		}
-		for j := 0; j < total; j++ {
-			out.Intermittent = append(out.Intermittent, byIndex[j%n].Intermittent[j/n])
+		if err := s.merge(byIndex, out); err != nil {
+			return nil, badFragment(name(0), "%s: %v", s.Name, err)
 		}
 	}
 	return out, nil
-}
-
-func selected(sections []string, name string) bool {
-	for _, s := range sections {
-		if s == name {
-			return true
-		}
-	}
-	return false
-}
-
-// recomputeAggregate rebuilds the §6 summary from the reassembled run
-// list with the same fold RunAggregate performs over its Runs — same
-// accumulation order, same strict-greater maxima, same division — so the
-// merged aggregate is bit-identical to the unsharded one.
-func recomputeAggregate(runs []RunJSON) AggregateJSON {
-	out := AggregateJSON{Runs: runs}
-	for _, r := range runs {
-		out.MeanEnergyChange += r.EnergyChange
-		out.MeanPowerChange += r.PowerChange
-		out.MeanTimeChange += r.TimeChange
-		if saving := -r.EnergyChange; saving > out.MaxEnergySaving {
-			out.MaxEnergySaving = saving
-			out.MaxEnergyBench = r.Bench + " " + r.Level
-		}
-		if saving := -r.PowerChange; saving > out.MaxPowerSaving {
-			out.MaxPowerSaving = saving
-			out.MaxPowerBench = r.Bench + " " + r.Level
-		}
-		if r.BlocksInRAM == 0 {
-			out.FailedPlacement++
-		}
-	}
-	if n := len(runs); n > 0 {
-		out.MeanEnergyChange /= float64(n)
-		out.MeanPowerChange /= float64(n)
-		out.MeanTimeChange /= float64(n)
-	}
-	return out
 }

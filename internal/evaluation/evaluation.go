@@ -4,11 +4,9 @@
 // numbers behind Figure 5, the §6 aggregate, Figure 6, the §7 case study
 // and Figure 9.
 //
-// Every driver exists in two forms: a method on Sweep — which shares one
-// core.Session per benchmark×level across everything run through it, so
-// e.g. Figure 5's static and profiled variants compile and baseline-
-// simulate once — and a package-level function of the same name that runs
-// on a private serial Sweep for one-shot callers.
+// Every driver is a method on Sweep, which shares one core.Session per
+// benchmark×level across everything run through it, so e.g. Figure 5's
+// static and profiled variants compile and baseline-simulate once.
 package evaluation
 
 import (
@@ -110,11 +108,6 @@ func (sw *Sweep) RunBenchmark(ctx context.Context, b *beebs.Benchmark, level mcc
 	return &Run{Bench: b.Name, Level: level, Report: rep}, nil
 }
 
-// RunBenchmark executes the full pipeline for one benchmark at one level.
-func RunBenchmark(b *beebs.Benchmark, level mcc.OptLevel, opts Options) (*Run, error) {
-	return NewSweep(1).RunBenchmark(context.Background(), b, level, opts)
-}
-
 // Figure5Row is one pair of bars (plus the frequency dots) of Figure 5.
 type Figure5Row struct {
 	Bench string
@@ -170,15 +163,6 @@ func (sw *Sweep) Figure5(ctx context.Context, levels []mcc.OptLevel) ([]Figure5R
 	return rows, err
 }
 
-// Figure5 runs the Figure 5 sweep serially on a fresh Sweep.
-func Figure5(levels []mcc.OptLevel) ([]Figure5Row, error) {
-	rows, err := NewSweep(1).Figure5(context.Background(), levels)
-	if err != nil {
-		return nil, err
-	}
-	return rows, nil
-}
-
 // sweepJob is one benchmark × level cell of an evaluation sweep.
 type sweepJob struct {
 	bench *beebs.Benchmark
@@ -199,19 +183,56 @@ func sweepJobs(levels []mcc.OptLevel) []sweepJob {
 // reduction in energy and power is 7.7% and 21.9% respectively. The
 // execution time is increased by an average of 19.5%."
 type Aggregate struct {
-	Levels           []mcc.OptLevel
-	MeanEnergyChange float64
-	MeanPowerChange  float64
-	MeanTimeChange   float64
-	MaxEnergySaving  float64 // most negative energy change, as a positive fraction
-	MaxEnergyBench   string
-	MaxPowerSaving   float64
-	MaxPowerBench    string
-	Runs             []Run
-	FailedPlacement  int // runs where nothing could be placed
+	Levels []mcc.OptLevel
+	AggregateSummary
+	Runs []Run
 	// IncompleteRuns counts cells that failed or were never dispatched;
 	// the means cover only the completed cells.
 	IncompleteRuns int
+}
+
+// AggregateSummary is the §6 fold over an ordered run list.
+type AggregateSummary struct {
+	MeanEnergyChange float64 `json:"mean_energy_change"`
+	MeanPowerChange  float64 `json:"mean_power_change"`
+	MeanTimeChange   float64 `json:"mean_time_change"`
+	// MaxEnergySaving is the most negative energy change, as a positive
+	// fraction; MaxEnergyBench names its "bench level" run.
+	MaxEnergySaving float64 `json:"max_energy_saving"`
+	MaxEnergyBench  string  `json:"max_energy_bench"`
+	MaxPowerSaving  float64 `json:"max_power_saving"`
+	MaxPowerBench   string  `json:"max_power_bench"`
+	// FailedPlacement counts runs where nothing could be placed.
+	FailedPlacement int `json:"failed_placement"`
+}
+
+// summarize folds the §6 summary over runs in order: sums accumulate in
+// run order and the maxima keep the first strictly greatest saving, so a
+// merge of shard fragments reproduces the unsharded numbers bit for bit.
+func summarize(runs []RunJSON) AggregateSummary {
+	var s AggregateSummary
+	for _, r := range runs {
+		s.MeanEnergyChange += r.EnergyChange
+		s.MeanPowerChange += r.PowerChange
+		s.MeanTimeChange += r.TimeChange
+		if saving := -r.EnergyChange; saving > s.MaxEnergySaving {
+			s.MaxEnergySaving = saving
+			s.MaxEnergyBench = r.Bench + " " + r.Level
+		}
+		if saving := -r.PowerChange; saving > s.MaxPowerSaving {
+			s.MaxPowerSaving = saving
+			s.MaxPowerBench = r.Bench + " " + r.Level
+		}
+		if r.BlocksInRAM == 0 {
+			s.FailedPlacement++
+		}
+	}
+	if n := len(runs); n > 0 {
+		s.MeanEnergyChange /= float64(n)
+		s.MeanPowerChange /= float64(n)
+		s.MeanTimeChange /= float64(n)
+	}
+	return s
 }
 
 // RunAggregate evaluates all benchmarks across the given levels. The
@@ -233,43 +254,17 @@ func (sw *Sweep) RunAggregate(ctx context.Context, levels []mcc.OptLevel) (*Aggr
 		runs[i] = r
 		return nil
 	})
+	var js []RunJSON
 	for _, r := range runs {
 		if r == nil {
 			agg.IncompleteRuns++
 			continue
 		}
 		agg.Runs = append(agg.Runs, *r)
-		rep := r.Report
-		agg.MeanEnergyChange += rep.EnergyChange
-		agg.MeanPowerChange += rep.PowerChange
-		agg.MeanTimeChange += rep.TimeChange
-		if saving := -rep.EnergyChange; saving > agg.MaxEnergySaving {
-			agg.MaxEnergySaving = saving
-			agg.MaxEnergyBench = fmt.Sprintf("%s %v", r.Bench, r.Level)
-		}
-		if saving := -rep.PowerChange; saving > agg.MaxPowerSaving {
-			agg.MaxPowerSaving = saving
-			agg.MaxPowerBench = fmt.Sprintf("%s %v", r.Bench, r.Level)
-		}
-		if len(rep.MovedLabels()) == 0 {
-			agg.FailedPlacement++
-		}
+		js = append(js, NewRunJSON(r))
 	}
-	if n := len(agg.Runs); n > 0 {
-		agg.MeanEnergyChange /= float64(n)
-		agg.MeanPowerChange /= float64(n)
-		agg.MeanTimeChange /= float64(n)
-	}
+	agg.AggregateSummary = summarize(js)
 	return agg, err
-}
-
-// RunAggregate evaluates all benchmarks serially on a fresh Sweep.
-func RunAggregate(levels []mcc.OptLevel) (*Aggregate, error) {
-	agg, err := NewSweep(1).RunAggregate(context.Background(), levels)
-	if err != nil {
-		return nil, err
-	}
-	return agg, nil
 }
 
 // SaversRow names the blocks behind one benchmark's measured energy
@@ -310,15 +305,6 @@ func (sw *Sweep) TopSavers(ctx context.Context, levels []mcc.OptLevel, n int) ([
 		return nil
 	})
 	return rows, err
-}
-
-// TopSavers runs the attribution sweep serially on a fresh Sweep.
-func TopSavers(levels []mcc.OptLevel, n int) ([]SaversRow, error) {
-	rows, err := NewSweep(1).TopSavers(context.Background(), levels, n)
-	if err != nil {
-		return nil, err
-	}
-	return rows, nil
 }
 
 // Figure6Data carries the trade-off cloud and solver paths for one
@@ -439,12 +425,6 @@ func (sw *Sweep) Figure6(ctx context.Context, benchName string, level mcc.OptLev
 	return data, nil
 }
 
-// Figure6 runs the trade-off sweep on a fresh serial Sweep.
-func Figure6(benchName string, level mcc.OptLevel, k int,
-	ramSweep []float64, xlimitSweep []float64) (*Figure6Data, error) {
-	return NewSweep(1).Figure6(context.Background(), benchName, level, k, ramSweep, xlimitSweep)
-}
-
 // Scenario builds the §7 case-study scenario from a measured pipeline run.
 func Scenario(r *Run) casestudy.Scenario {
 	rep := r.Report
@@ -488,13 +468,4 @@ func (sw *Sweep) Figure9(ctx context.Context, level mcc.OptLevel, multiples []fl
 		})
 	}
 	return out, nil
-}
-
-// Figure9 runs the periodic-sensing sweep on a fresh serial Sweep.
-func Figure9(level mcc.OptLevel, multiples []float64) ([]Figure9Series, error) {
-	series, err := NewSweep(1).Figure9(context.Background(), level, multiples)
-	if err != nil {
-		return nil, err
-	}
-	return series, nil
 }

@@ -118,15 +118,6 @@ func (sw *Sweep) Intermittent(ctx context.Context, levels []mcc.OptLevel, profil
 	return rows, err
 }
 
-// Intermittent runs the harvested-power sweep serially on a fresh Sweep.
-func Intermittent(levels []mcc.OptLevel, profiles []string) ([]IntermittentRow, error) {
-	rows, err := NewSweep(1).Intermittent(context.Background(), levels, profiles)
-	if err != nil {
-		return nil, err
-	}
-	return rows, nil
-}
-
 // intermitClockHz is the simulated board's clock, used to express
 // replay wall cycles as time-to-completion.
 func intermitClockHz() float64 { return power.STM32F100().ClockHz }

@@ -74,39 +74,32 @@ func TestIntermittentSweepShape(t *testing.T) {
 }
 
 // The intermittent section shards and merges like every other section:
-// hand-built fragments interleave back in cell order, and a non-partition
-// is rejected.
+// its registry runner's fragments interleave back into the unsharded
+// rows, and a non-partition is rejected.
 func TestMergeShardsIntermittentSection(t *testing.T) {
-	row := func(bench, profile string) IntermittentRowJSON {
-		return IntermittentRowJSON{Bench: bench, Level: "O2", Profile: profile}
+	if testing.Short() {
+		t.Skip("intermittent sweep in -short mode")
 	}
+	sw := NewSweep(2)
 	frags := []Document{
-		{
-			Shard:        &ShardJSON{Index: 0, Count: 2, Sections: []string{"intermittent"}},
-			Intermittent: []IntermittentRowJSON{row("a", "steady"), row("b", "steady")},
-		},
-		{
-			Shard:        &ShardJSON{Index: 1, Count: 2, Sections: []string{"intermittent"}},
-			Intermittent: []IntermittentRowJSON{row("a", "bursty")},
-		},
+		shardFragment(t, sw, Shard{Index: 1, Count: 2}, "intermittent"),
+		shardFragment(t, sw, Shard{Index: 0, Count: 2}, "intermittent"),
 	}
 	merged, err := MergeShards(frags, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	var got []string
-	for _, r := range merged.Intermittent {
-		got = append(got, r.Bench+"/"+r.Profile)
-	}
-	want := []string{"a/steady", "a/bursty", "b/steady"}
-	if !reflect.DeepEqual(got, want) {
-		t.Fatalf("merged order %v, want %v", got, want)
+	full := shardFragment(t, sw, Shard{}, "intermittent")
+	if len(full.Intermittent) == 0 || !reflect.DeepEqual(merged.Intermittent, full.Intermittent) {
+		t.Fatalf("merged rows differ from the unsharded sweep:\nmerged: %+v\nfull:   %+v",
+			merged.Intermittent, full.Intermittent)
 	}
 
-	// 3 cells sharded 2 ways must put 2 on shard 0; the reverse split is
-	// not one partition.
-	frags[0].Intermittent = frags[0].Intermittent[:1]
-	frags[1].Intermittent = []IntermittentRowJSON{row("a", "bursty"), row("b", "bursty")}
+	// Moving one row from shard 0 to shard 1 keeps the cell count but
+	// breaks the j%n split: not one partition.
+	rows0 := frags[1].Intermittent
+	frags[0].Intermittent = append(frags[0].Intermittent, rows0[len(rows0)-1])
+	frags[1].Intermittent = rows0[:len(rows0)-1]
 	if _, err := MergeShards(frags, nil); !errors.Is(err, errs.ErrBadInput) {
 		t.Fatalf("non-partition merge = %v, want ErrBadInput", err)
 	}

@@ -229,15 +229,8 @@ func NewFigure5JSON(rows []Figure5Row) []Figure5RowJSON {
 
 // AggregateJSON is the §6 summary.
 type AggregateJSON struct {
-	Runs             []RunJSON `json:"runs"`
-	MeanEnergyChange float64   `json:"mean_energy_change"`
-	MeanPowerChange  float64   `json:"mean_power_change"`
-	MeanTimeChange   float64   `json:"mean_time_change"`
-	MaxEnergySaving  float64   `json:"max_energy_saving"`
-	MaxEnergyBench   string    `json:"max_energy_bench"`
-	MaxPowerSaving   float64   `json:"max_power_saving"`
-	MaxPowerBench    string    `json:"max_power_bench"`
-	FailedPlacement  int       `json:"failed_placement"`
+	Runs []RunJSON `json:"runs"`
+	AggregateSummary
 	// IncompleteRuns counts cells missing from Runs because their
 	// pipeline failed or was cut off; 0 (omitted) means a full sweep.
 	IncompleteRuns int `json:"incomplete_runs,omitempty"`
@@ -245,17 +238,7 @@ type AggregateJSON struct {
 
 // NewAggregateJSON converts an Aggregate.
 func NewAggregateJSON(agg *Aggregate) AggregateJSON {
-	out := AggregateJSON{
-		MeanEnergyChange: agg.MeanEnergyChange,
-		MeanPowerChange:  agg.MeanPowerChange,
-		MeanTimeChange:   agg.MeanTimeChange,
-		MaxEnergySaving:  agg.MaxEnergySaving,
-		MaxEnergyBench:   agg.MaxEnergyBench,
-		MaxPowerSaving:   agg.MaxPowerSaving,
-		MaxPowerBench:    agg.MaxPowerBench,
-		FailedPlacement:  agg.FailedPlacement,
-		IncompleteRuns:   agg.IncompleteRuns,
-	}
+	out := AggregateJSON{AggregateSummary: agg.AggregateSummary, IncompleteRuns: agg.IncompleteRuns}
 	for i := range agg.Runs {
 		out.Runs = append(out.Runs, NewRunJSON(&agg.Runs[i]))
 	}

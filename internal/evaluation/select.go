@@ -94,9 +94,3 @@ func (sw *Sweep) BestConfig(ctx context.Context, b *beebs.Benchmark, level mcc.O
 	}
 	return best, nil
 }
-
-// BestConfig selects among candidates on a fresh serial Sweep without
-// pruning.
-func BestConfig(b *beebs.Benchmark, level mcc.OptLevel, cands []Candidate) (*Best, error) {
-	return NewSweep(1).BestConfig(context.Background(), b, level, cands)
-}

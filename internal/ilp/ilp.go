@@ -66,12 +66,9 @@ type WarmStart struct {
 	// optimal without a single LP solve.
 	Bound    float64
 	HasBound bool
-	// Basis, when non-nil, warm-starts the root relaxation through
-	// lp.SolveFrom instead of a cold solve.
-	Basis []int
 	// State, when non-nil, is the donor root's full end state
-	// (lp.Solution.State) and supersedes Basis: the root resumes through
-	// lp.SolveFromState, which skips basis re-installation entirely.
+	// (lp.Solution.State): the root relaxation resumes through
+	// lp.SolveFromState instead of a cold solve.
 	State *lp.State
 	// RootIters is the simplex iteration count of the donor's root solve,
 	// used by callers to account iterations saved. Not read by Solve.
@@ -108,14 +105,12 @@ type Result struct {
 	// search ran to completion.
 	Stop error
 	// RootIters is the simplex iteration count of the root relaxation
-	// (zero when the root was never solved), RootBasis its final basis
-	// and RootState its full end state — together the donor state for
-	// the next warm start.
+	// (zero when the root was never solved) and RootState its full end
+	// state — the donor state for the next warm start.
 	RootIters int
-	RootBasis []int
 	RootState *lp.State
 	// WarmIncumbent reports that the warm start's incumbent was accepted
-	// as the starting incumbent; WarmRoot that the warm basis genuinely
+	// as the starting incumbent; WarmRoot that the warm state genuinely
 	// warm-started the root relaxation (not a cold fallback); WarmProof
 	// that the incumbent was proven optimal by the carried bound alone,
 	// with no LP solved (Nodes == 0).
@@ -177,14 +172,12 @@ func (s *Solver) Solve(ctx context.Context) (*Result, error) {
 		incumbentObj = math.Inf(1)
 		nodes        int
 		rootIters    int
-		rootBasis    []int
 		rootState    *lp.State
 		warmInc      bool
 		warmRoot     bool
 	)
 	stamp := func(r *Result) *Result {
 		r.RootIters = rootIters
-		r.RootBasis = rootBasis
 		r.RootState = rootState
 		r.WarmIncumbent = warmInc
 		r.WarmRoot = warmRoot
@@ -202,9 +195,8 @@ func (s *Solver) Solve(ctx context.Context) (*Result, error) {
 		warmInc = true
 		if w.HasBound && incumbentObj <= w.Bound+1e-9 {
 			// The donor's root state is passed through untouched so a
-			// chain of instant proofs keeps a usable basis for the first
+			// chain of instant proofs keeps a usable state for the first
 			// point that needs a real solve again.
-			rootBasis = append([]int(nil), w.Basis...)
 			rootState = w.State
 			rootIters = w.RootIters
 			return stamp(&Result{
@@ -220,10 +212,10 @@ func (s *Solver) Solve(ctx context.Context) (*Result, error) {
 	// tightens the upper bound to 0, fix to 1 raises the lower bound to 1.
 	// Appending EQ rows per node (the obvious encoding) would give every
 	// node a different standard-form layout; RHS-only edits keep the
-	// layout identical across the whole tree, which is what lets a parent
-	// basis warm-start its children below. The edited RHS values (0 and 1)
-	// never go negative, so no row changes sign or sprouts a different
-	// slack/artificial pattern.
+	// layout identical across the whole tree, which is what lets a
+	// parent's end state warm-start its children below. The edited RHS
+	// values (0 and 1) never go negative, so no row changes sign or
+	// sprouts a different slack/artificial pattern.
 	aug := s.Base.Clone()
 	ubRow := make(map[int]int, len(s.Binaries))
 	lbRow := make(map[int]int, len(s.Binaries))
@@ -271,26 +263,17 @@ func (s *Solver) Solve(ctx context.Context) (*Result, error) {
 		}
 	}
 
-	// Root node. A donor end state resumes the tableau directly; a bare
-	// basis routes through the install-and-repair re-solve. Both fall
+	// Root node: a donor end state resumes the tableau directly, falling
 	// back to a cold solve internally on any mismatch.
-	var rootSol *lp.Solution
-	var err error
-	switch {
-	case s.Warm != nil && s.Warm.State != nil:
-		nodes++
-		rootSol, err = aug.Clone().SolveFromState(ctx, s.Warm.State)
-	case s.Warm != nil && s.Warm.Basis != nil:
-		nodes++
-		rootSol, err = aug.Clone().SolveFrom(ctx, s.Warm.Basis)
-	default:
-		rootSol, err = solveNode(nil, nil)
+	var donor *lp.State
+	if s.Warm != nil {
+		donor = s.Warm.State
 	}
+	rootSol, err := solveNode(nil, donor)
 	if err != nil {
 		return nil, fmt.Errorf("ilp: root relaxation: %w", err)
 	}
 	rootIters = rootSol.Iters
-	rootBasis = rootSol.Basis
 	rootState = rootSol.State
 	warmRoot = rootSol.Warmed
 	switch rootSol.Status {

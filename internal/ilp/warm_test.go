@@ -91,7 +91,7 @@ func TestWarmBasisMatchesColdAcrossCapacitySweep(t *testing.T) {
 		if prev != nil {
 			warmSolver.Warm = &WarmStart{
 				Incumbent: prev.X,
-				Basis:     prev.RootBasis,
+				State:     prev.RootState,
 				RootIters: prev.RootIters,
 			}
 		}
@@ -105,8 +105,8 @@ func TestWarmBasisMatchesColdAcrossCapacitySweep(t *testing.T) {
 		if !sameX(warm.X, cold.X) {
 			t.Errorf("cap %v: warm x %v, cold %v", capacity, warm.X, cold.X)
 		}
-		if cold.RootBasis == nil {
-			t.Fatalf("cap %v: cold solve has no root basis", capacity)
+		if cold.RootState == nil {
+			t.Fatalf("cap %v: cold solve has no root state", capacity)
 		}
 		prev = cold
 	}
@@ -114,11 +114,16 @@ func TestWarmBasisMatchesColdAcrossCapacitySweep(t *testing.T) {
 
 func TestWarmGarbageBasisStillSolves(t *testing.T) {
 	cold := mustSolve(t, knapsack([]float64{60, 100, 120}, []float64{10, 20, 30}, 50))
+	// A root state from a two-item knapsack describes another layout.
+	foreign := mustSolve(t, knapsack([]float64{5, 7}, []float64{1, 2}, 2))
 	s := knapsack([]float64{60, 100, 120}, []float64{10, 20, 30}, 50)
-	s.Warm = &WarmStart{Basis: []int{99, 98, 97, 96}}
+	s.Warm = &WarmStart{State: foreign.RootState}
 	warm := mustSolve(t, s)
 	if warm.Status != Optimal || math.Abs(warm.Obj-cold.Obj) > 1e-9 {
-		t.Fatalf("garbage basis: got %v obj %v, want cold obj %v", warm.Status, warm.Obj, cold.Obj)
+		t.Fatalf("garbage state: got %v obj %v, want cold obj %v", warm.Status, warm.Obj, cold.Obj)
+	}
+	if warm.WarmRoot {
+		t.Error("foreign root state was consumed instead of rejected")
 	}
 }
 

@@ -86,25 +86,20 @@ type Solution struct {
 	X      []float64 // structural variable values (len = NumVars)
 	Obj    float64   // objective value cᵀx
 
-	// Basis is the final basis (one tableau column index per row) of an
-	// Optimal solve. A later solve of a problem with identical rows and
-	// columns but a changed RHS can restart from it via SolveFrom: the
-	// basis stays dual feasible under RHS changes, so the dual simplex
-	// re-solve needs only the pivots that repair primal feasibility.
-	// Nil for non-optimal outcomes.
-	Basis []int
 	// Iters is the number of simplex pivots this solve performed (both
-	// phases, including the basis-installation pivots of SolveFrom).
+	// phases).
 	Iters int
-	// Warmed reports that a warm path (SolveFrom or SolveFromState)
-	// produced this solution — the carried state was genuinely consumed,
-	// not discarded for a cold fallback.
+	// Warmed reports that the warm path (SolveFromState) produced this
+	// solution — the carried state was genuinely consumed, not discarded
+	// for a cold fallback.
 	Warmed bool
 	// State is the full end state of an Optimal solve — the final tableau
-	// with its basis and layout. SolveFromState resumes from it far
-	// cheaper than SolveFrom resumes from Basis alone: the tableau IS the
-	// factorized basis, so no re-installation pivots are needed. Nil for
-	// non-optimal outcomes. Opaque; safe to share (resuming copies it).
+	// with its basis and layout. A later solve of a problem with
+	// identical rows and columns but a changed RHS resumes from it via
+	// SolveFromState: the basis stays dual feasible under RHS changes and
+	// the tableau IS the factorized basis, so the re-solve needs only the
+	// dual pivots that repair primal feasibility. Nil for non-optimal
+	// outcomes. Opaque; safe to share (resuming copies it).
 	State *State
 }
 
@@ -209,7 +204,7 @@ func (p *Problem) Row(i int) ([]float64, Rel, float64) {
 // sticky ErrBadProblem (reported by Solve).
 //
 // RHS-only edits are the warm-restart move: a basis from a previous
-// Optimal solve stays dual feasible under them, so SolveFrom can repair
+// Optimal solve stays dual feasible under them, so SolveFromState can repair
 // the solution with a few dual pivots. One caveat — the standard-form
 // layout negates rows with negative RHS, so an edit that flips a row's
 // RHS sign changes the tableau's column meaning and a carried basis
@@ -405,8 +400,7 @@ func (p *Problem) Solve(ctx context.Context) (*Solution, error) {
 	}
 
 	x, obj := p.extract(t, basis, m, n, total)
-	return &Solution{Status: Optimal, X: x, Obj: obj,
-		Basis: append([]int(nil), basis...), Iters: iters,
+	return &Solution{Status: Optimal, X: x, Obj: obj, Iters: iters,
 		State: p.captureState(t, basis, nSlack, nArt)}, nil
 }
 
@@ -513,131 +507,16 @@ func (p *Problem) maxIters(m, total int) int {
 	return maxIter
 }
 
-// install re-pivots the tableau so that target becomes the basis. The
-// target must have one column per row, each a structural or slack column
-// (artificials are never re-installed). Returns false — leaving the
-// tableau unusable — when the target is malformed or numerically
-// singular; callers fall back to a cold Solve.
-func (tb *tableau) install(target []int) bool {
-	m := len(tb.t)
-	if len(target) != m {
-		return false
-	}
-	want := make(map[int]bool, m)
-	for _, j := range target {
-		if j < 0 || j >= tb.total-tb.nArt || want[j] {
-			return false
-		}
-		want[j] = true
-	}
-	inBasis := make(map[int]bool, m)
-	for _, j := range tb.basis {
-		inBasis[j] = true
-	}
-	for _, j := range target {
-		if inBasis[j] {
-			continue
-		}
-		// Pivot j in, displacing a row whose current basis column is not
-		// itself wanted; pick the largest pivot element for stability.
-		best, bestAbs := -1, 1e-7
-		for i := 0; i < m; i++ {
-			if want[tb.basis[i]] {
-				continue
-			}
-			if a := math.Abs(tb.t[i][j]); a > bestAbs {
-				best, bestAbs = i, a
-			}
-		}
-		if best < 0 {
-			return false
-		}
-		delete(inBasis, tb.basis[best])
-		pivot(tb.t, tb.basis, best, j, tb.total)
-		inBasis[j] = true
-	}
-	return true
-}
-
-// SolveFrom re-solves the problem starting from the final basis of a
-// previous Optimal solve of a problem with identical rows, columns and
-// objective but (possibly) changed RHS values — the single-bound-change
-// re-solve of a constraint sweep. The basis stays dual feasible under an
-// RHS change, so the dual simplex method repairs primal feasibility in a
-// handful of pivots instead of re-deriving the basis from scratch; a
-// primal clean-up pass then certifies optimality. Any structural
-// mismatch, singular basis, or lost dual feasibility falls back to the
-// cold Solve path transparently (the pivots already spent still count in
-// Solution.Iters), so SolveFrom never answers worse than Solve — only
-// cheaper.
-func (p *Problem) SolveFrom(ctx context.Context, basis []int) (*Solution, error) {
-	if p.err != nil {
-		return nil, p.err
-	}
-	m := len(p.rowRel)
-	n := p.n
-	tb := p.newTableau()
-	if !tb.install(basis) {
-		return p.Solve(ctx)
-	}
-	t, bs, total := tb.t, tb.basis, tb.total
-	maxIter := p.maxIters(m, total)
-	iters := 0
-	done := ctx.Done()
-
-	cost := make([]float64, total)
-	copy(cost, p.obj)
-	for j := n + tb.nSlack; j < total; j++ {
-		cost[j] = math.Inf(1)
-	}
-
-	st := dualSimplex(t, bs, cost, total, maxIter, &iters, done)
-	switch st {
-	case stCanceled:
-		return nil, fmt.Errorf("lp: solve interrupted: %w", ctx.Err())
-	case Infeasible:
-		return &Solution{Status: Infeasible, Iters: iters, Warmed: true}, nil
-	case Optimal:
-		// Primal feasible again; the clean-up pass below certifies (and,
-		// if a reduced cost drifted negative, restores) optimality.
-	default:
-		// Iteration limit or lost dual feasibility: the warm path cannot
-		// certify anything from a primal-infeasible point, so pay for the
-		// cold solve instead of guessing.
-		sol, err := p.Solve(ctx)
-		if sol != nil {
-			sol.Iters += iters
-		}
-		return sol, err
-	}
-
-	st = simplex(t, bs, cost, total, maxIter, &iters, done)
-	switch st {
-	case stCanceled:
-		return nil, fmt.Errorf("lp: solve interrupted: %w", ctx.Err())
-	case Unbounded:
-		return &Solution{Status: Unbounded, Iters: iters, Warmed: true}, nil
-	case IterLimit:
-		x, obj := p.extract(t, bs, m, n, total)
-		return &Solution{Status: IterLimit, X: x, Obj: obj, Iters: iters, Warmed: true}, nil
-	}
-	x, obj := p.extract(t, bs, m, n, total)
-	return &Solution{Status: Optimal, X: x, Obj: obj,
-		Basis: append([]int(nil), bs...), Iters: iters, Warmed: true,
-		State: p.captureState(t, bs, tb.nSlack, tb.nArt)}, nil
-}
-
 // SolveFromState re-solves the problem from the full end state of a
 // previous Optimal solve of a problem with identical coefficient rows,
-// columns and objective but (possibly) changed RHS values. Where
-// SolveFrom must rebuild the tableau and re-install the basis pivot by
-// pivot — O(m) pivots, each a full tableau pass, nearly the price of a
-// cold solve on small problems — this path clones the donor tableau and
-// refreshes only the basic values: the donor tableau already embeds the
-// basis inverse, and for each changed RHS b_k the column of row k's
-// slack variable holds ±B⁻¹eₖ, so the refresh is one axpy per changed
-// row. The dual simplex then repairs primal feasibility and a primal
-// clean-up pass certifies optimality, exactly as in SolveFrom.
+// columns and objective but (possibly) changed RHS values — the
+// single-bound-change re-solve of a constraint sweep or a branch-and-
+// bound child. Rather than rebuild the tableau and re-derive the basis,
+// it clones the donor tableau and refreshes only the basic values: the
+// donor tableau already embeds the basis inverse, and for each changed
+// RHS b_k the column of row k's slack variable holds ±B⁻¹eₖ, so the
+// refresh is one axpy per changed row. The dual simplex then repairs
+// primal feasibility and a primal clean-up pass certifies optimality.
 //
 // Safety: any layout mismatch — dimensions, relations, the RHS sign
 // pattern (which decides slack/artificial allocation), or a changed RHS
@@ -765,8 +644,7 @@ func (p *Problem) SolveFromState(ctx context.Context, st *State) (*Solution, err
 		// The donor state did not describe this problem after all.
 		return cold()
 	}
-	return &Solution{Status: Optimal, X: x, Obj: obj,
-		Basis: append([]int(nil), bs...), Iters: iters, Warmed: true,
+	return &Solution{Status: Optimal, X: x, Obj: obj, Iters: iters, Warmed: true,
 		State: p.captureState(t, bs, st.nSlack, st.nArt)}, nil
 }
 

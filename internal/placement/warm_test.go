@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"repro/internal/ir"
+	"repro/internal/lp"
 )
 
 // TestWarmChainMatchesColdOnFigure2 carries each proven solve's donated
@@ -112,13 +113,13 @@ func TestWarmSamePointIsInstantProof(t *testing.T) {
 		t.Errorf("instant proof changed the answer: %v vs %v", again.InRAM, first.InRAM)
 	}
 	// The instant proof passes the donor's root state through, so the
-	// NEXT point in a chain still has a basis to start from.
-	if again.Warm == nil || again.Warm.Basis == nil {
-		t.Errorf("instant proof dropped the donated basis: %+v", again.Warm)
+	// NEXT point in a chain still has a tableau to resume from.
+	if again.Warm == nil || again.Warm.State == nil {
+		t.Errorf("instant proof dropped the donated state: %+v", again.Warm)
 	}
 }
 
-// TestWarmGarbageStateIsHarmless feeds a Warm whose basis and incumbent
+// TestWarmGarbageStateIsHarmless feeds a Warm whose state and incumbent
 // belong to no valid solve; the solver must quietly fall back to a cold
 // solve and still return the proven optimum.
 func TestWarmGarbageStateIsHarmless(t *testing.T) {
@@ -128,10 +129,18 @@ func TestWarmGarbageStateIsHarmless(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	// A root state from a one-variable LP describes another layout.
+	other := lp.NewProblem(1)
+	other.SetObj(0, -1)
+	other.AddRow(map[int]float64{0: 1}, lp.LE, 1)
+	foreign, err := other.Solve(context.Background())
+	if err != nil {
+		t.Fatal(err)
+	}
 	garbage := &Warm{
 		Incumbent: map[string]bool{"no_such_block": true},
 		Obj:       -1e18, // wildly wrong, but not Proven: never carried
-		Basis:     []int{9999, 9998, 9997},
+		State:     foreign.State,
 		RootIters: 3,
 	}
 	res, err := SolveILPWarm(context.Background(), m, Budget{}, garbage)
@@ -141,7 +150,7 @@ func TestWarmGarbageStateIsHarmless(t *testing.T) {
 	if !res.Proven || !reflect.DeepEqual(res.InRAM, cold.InRAM) {
 		t.Fatalf("garbage warm state changed the answer: %v vs %v", res.InRAM, cold.InRAM)
 	}
-	if res.WarmUse.Bound {
-		t.Errorf("unproven donor's bound was carried: %+v", res.WarmUse)
+	if res.WarmUse.Bound || res.WarmUse.Basis {
+		t.Errorf("garbage warm state was consumed: %+v", res.WarmUse)
 	}
 }
