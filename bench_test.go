@@ -68,7 +68,7 @@ func BenchmarkFigure5(b *testing.B) {
 		b.Run(bench.Name, func(b *testing.B) {
 			var rep *core.Report
 			for i := 0; i < b.N; i++ {
-				r, err := evaluation.NewSweep(1).RunBenchmark(context.Background(), bench, mcc.O2, evaluation.Options{})
+				r, err := evaluation.NewSweep(1).RunBenchmark(context.Background(), bench, mcc.O2, core.Options{})
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -89,7 +89,7 @@ func BenchmarkFigure5Frequency(b *testing.B) {
 		b.Run(name, func(b *testing.B) {
 			var rep *core.Report
 			for i := 0; i < b.N; i++ {
-				r, err := evaluation.NewSweep(1).RunBenchmark(context.Background(), bench, mcc.O2, evaluation.Options{UseProfile: true})
+				r, err := evaluation.NewSweep(1).RunBenchmark(context.Background(), bench, mcc.O2, core.Options{UseProfile: true})
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -149,7 +149,7 @@ func BenchmarkFigure6(b *testing.B) {
 func BenchmarkCaseStudy(b *testing.B) {
 	var sc casestudy.Scenario
 	for i := 0; i < b.N; i++ {
-		r, err := evaluation.NewSweep(1).RunBenchmark(context.Background(), beebs.Get("fdct"), mcc.O2, evaluation.Options{})
+		r, err := evaluation.NewSweep(1).RunBenchmark(context.Background(), beebs.Get("fdct"), mcc.O2, core.Options{})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -188,7 +188,7 @@ func BenchmarkAblationSolvers(b *testing.B) {
 			var rep *core.Report
 			for i := 0; i < b.N; i++ {
 				r, err := evaluation.NewSweep(1).RunBenchmark(context.Background(), beebs.Get("dijkstra"), mcc.O2,
-					evaluation.Options{Solver: solver, Rspare: 512})
+					core.Options{Solver: solver, Rspare: 512})
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -211,7 +211,7 @@ func BenchmarkAblationFrequency(b *testing.B) {
 			var rep *core.Report
 			for i := 0; i < b.N; i++ {
 				r, err := evaluation.NewSweep(1).RunBenchmark(context.Background(), beebs.Get("sha"), mcc.O2,
-					evaluation.Options{UseProfile: useProf})
+					core.Options{UseProfile: useProf})
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -230,7 +230,7 @@ func BenchmarkAblationXlimit(b *testing.B) {
 			var rep *core.Report
 			for i := 0; i < b.N; i++ {
 				r, err := evaluation.NewSweep(1).RunBenchmark(context.Background(), beebs.Get("int_matmult"), mcc.O2,
-					evaluation.Options{Xlimit: xl})
+					core.Options{Xlimit: xl})
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -263,7 +263,7 @@ func BenchmarkLinkTimeExtension(b *testing.B) {
 				var rep *core.Report
 				for i := 0; i < b.N; i++ {
 					r, err := evaluation.NewSweep(1).RunBenchmark(context.Background(), bench, mcc.O2,
-						evaluation.Options{LinkTime: lt})
+						core.Options{LinkTime: lt})
 					if err != nil {
 						b.Fatal(err)
 					}
@@ -534,10 +534,10 @@ func BenchmarkFigure5Sweep(b *testing.B) {
 				for _, level := range levels {
 					// A fresh Sweep per call: nothing is shared between
 					// the two calls.
-					if _, err := evaluation.NewSweep(1).RunBenchmark(context.Background(), bench, level, evaluation.Options{}); err != nil {
+					if _, err := evaluation.NewSweep(1).RunBenchmark(context.Background(), bench, level, core.Options{}); err != nil {
 						b.Fatal(err)
 					}
-					if _, err := evaluation.NewSweep(1).RunBenchmark(context.Background(), bench, level, evaluation.Options{UseProfile: true}); err != nil {
+					if _, err := evaluation.NewSweep(1).RunBenchmark(context.Background(), bench, level, core.Options{UseProfile: true}); err != nil {
 						b.Fatal(err)
 					}
 				}

@@ -10,16 +10,9 @@ import (
 	"repro/internal/analysis"
 	"repro/internal/analysis/bounds"
 	"repro/internal/beebs"
-	"repro/internal/cfg"
 	"repro/internal/cliutil"
-	"repro/internal/freq"
-	"repro/internal/ir"
-	"repro/internal/layout"
+	"repro/internal/core"
 	"repro/internal/mcc"
-	"repro/internal/model"
-	"repro/internal/placement"
-	"repro/internal/power"
-	"repro/internal/transform"
 )
 
 // runAnalyze implements the `flashram analyze` subcommand: compile, place,
@@ -86,10 +79,11 @@ objects) and exits 1 if any error-severity diagnostic is found.`)
 	ctx, stop := cliutil.Context(*timeout)
 	defer stop()
 
+	opts := core.Options{Solver: core.Solver(*solver), Xlimit: *xlimit, Rspare: *rspare, LinkTime: *linktime}
 	failed := 0
 	var docs []analysis.ResultJSON
 	for _, t := range targets {
-		res, err := analyzeOne(ctx, t.source, optLevel, *solver, *xlimit, *rspare, *linktime, *baseline, *bounds_)
+		res, err := analyzeOne(ctx, t.source, optLevel, opts, *baseline, *bounds_)
 		if err != nil {
 			fatal(fmt.Errorf("%s: %w", t.name, err))
 		}
@@ -122,11 +116,14 @@ objects) and exits 1 if any error-severity diagnostic is found.`)
 	}
 }
 
-// analyzeOne runs compile → model → placement → transform → analysis for
-// one source, mirroring core.Optimize without the simulations. withBounds
-// appends the energy-bounds pass to the default suite — it is not a
-// default pass, so the pipeline's own verification stays the 5-pass gate.
-func analyzeOne(ctx context.Context, source string, level mcc.OptLevel, solver string, xlimit, rspare float64, linktime, baseline, withBounds bool) (*analysis.Result, error) {
+// analyzeOne compiles one source and lints it. The placement and the
+// transformed program come from a core.Session's solve and transform
+// stages — the exact image Optimize would simulate — and are then
+// checked with the chosen passes: withBounds appends the energy-bounds
+// pass to the default suite (it is not a default pass, so the pipeline's
+// own verification stays the 5-pass gate); baseline lints the
+// untransformed program instead.
+func analyzeOne(ctx context.Context, source string, level mcc.OptLevel, opts core.Options, baseline, withBounds bool) (*analysis.Result, error) {
 	passes := analysis.DefaultPasses()
 	if withBounds {
 		passes = append(passes, bounds.Pass{})
@@ -135,61 +132,19 @@ func analyzeOne(ctx context.Context, source string, level mcc.OptLevel, solver s
 	if err != nil {
 		return nil, err
 	}
-	if err := ir.Verify(prog); err != nil {
+	sess, err := core.NewSession(prog, core.SessionConfig{})
+	if err != nil {
 		return nil, err
 	}
-	cfgLayout := layout.DefaultConfig()
 	if baseline {
-		return analysis.Run(&analysis.Context{Prog: prog, Config: cfgLayout}, passes...)
+		return analysis.Run(&analysis.Context{Prog: prog, Config: sess.LayoutConfig()}, passes...)
 	}
-
-	graphs, err := cfg.BuildAll(prog)
+	tf, err := sess.Transform(ctx, opts)
 	if err != nil {
-		return nil, err
-	}
-	est := freq.Static(prog, graphs)
-	if rspare == 0 {
-		rspare = float64(layout.SpareRAM(prog, cfgLayout))
-	}
-	if xlimit == 0 {
-		xlimit = 2.0
-	}
-	ef, er := power.STM32F100().Coefficients()
-	mdl, err := model.Build(prog, graphs, est, model.Params{
-		EFlash: ef, ERAM: er, Rspare: rspare, Xlimit: xlimit,
-		IncludeLibrary: linktime,
-	})
-	if err != nil {
-		return nil, err
-	}
-
-	var res *placement.Result
-	switch solver {
-	case "ilp":
-		res, err = placement.SolveILP(ctx, mdl, placement.Budget{})
-	case "greedy":
-		res = placement.SolveGreedy(mdl)
-	case "function":
-		res = placement.SolveFunctionLevel(mdl, prog)
-	case "exhaustive":
-		res, err = placement.SolveExhaustive(mdl, 12)
-	default:
-		return nil, fmt.Errorf("unknown solver %q", solver)
-	}
-	if err != nil {
-		return nil, err
-	}
-
-	opt := prog.Clone()
-	applyFn := transform.Apply
-	if linktime {
-		applyFn = transform.ApplyLinkTime
-	}
-	if _, err := applyFn(opt, res.InRAM); err != nil {
 		return nil, err
 	}
 	return analysis.Run(&analysis.Context{
-		Original: prog, Prog: opt, InRAM: res.InRAM,
-		Config: cfgLayout, Rspare: rspare,
+		Original: prog, Prog: tf.Program, InRAM: tf.InRAM,
+		Config: sess.LayoutConfig(), Image: tf.Image, Rspare: tf.Rspare,
 	}, passes...)
 }

@@ -12,13 +12,14 @@ import (
 
 	"repro/internal/beebs"
 	"repro/internal/casestudy"
+	"repro/internal/core"
 	"repro/internal/evaluation"
 	"repro/internal/mcc"
 )
 
 func main() {
 	fmt.Println("Measuring the FDCT active region on the simulated board...")
-	run, err := evaluation.NewSweep(1).RunBenchmark(context.Background(), beebs.Get("fdct"), mcc.O2, evaluation.Options{})
+	run, err := evaluation.NewSweep(1).RunBenchmark(context.Background(), beebs.Get("fdct"), mcc.O2, core.Options{})
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -17,6 +17,7 @@ import (
 	"time"
 
 	"repro/internal/analysis"
+	"repro/internal/errs"
 	"repro/internal/ir"
 	"repro/internal/layout"
 	"repro/internal/model"
@@ -104,22 +105,15 @@ type Options struct {
 	CkptAware bool
 }
 
-func (o *Options) fill() {
-	if o.Profile == nil {
-		o.Profile = power.STM32F100()
+// Validate rejects knob values no configuration can mean: a negative
+// Xlimit, Rspare or solve budget. Its error matches errs.ErrBadInput.
+// Session.Optimize and the other Options-taking stages call it, so the
+// CLIs and the service refuse the same requests.
+func (o Options) Validate() error {
+	if o.Xlimit < 0 || o.Rspare < 0 || o.SolveMaxNodes < 0 || o.SolveMaxLPIter < 0 || o.SolveTimeout < 0 {
+		return errs.BadInput(fmt.Errorf("negative knobs are invalid"))
 	}
-	if o.Layout == (layout.Config{}) {
-		o.Layout = layout.DefaultConfig()
-	}
-	if o.Xlimit == 0 {
-		o.Xlimit = 2.0
-	}
-	if o.Solver == "" {
-		o.Solver = SolverILP
-	}
-	if o.ExhaustiveK == 0 {
-		o.ExhaustiveK = 12
-	}
+	return nil
 }
 
 // RunMetrics captures one simulated execution.
@@ -217,20 +211,11 @@ func (c *IntermittentComparison) WorkPerMJChange() float64 {
 // baseline simulation, CFG, frequency and model stages are shared across
 // configurations.
 func Optimize(p *ir.Program, opts Options) (*Report, error) {
-	return OptimizeContext(context.Background(), p, opts)
-}
-
-// OptimizeContext is Optimize with cooperative cancellation: ctx reaches
-// the solver's branch-and-bound loop and both simulated runs, so a
-// cancelled or deadline-expired context stops the pipeline within their
-// poll windows with an error matching the context error.
-func OptimizeContext(ctx context.Context, p *ir.Program, opts Options) (*Report, error) {
-	opts.fill()
 	s, err := NewSession(p, SessionConfig{Profile: opts.Profile, Layout: opts.Layout})
 	if err != nil {
 		return nil, err
 	}
-	return s.Optimize(ctx, opts)
+	return s.Optimize(context.Background(), opts)
 }
 
 // startupCopyCost estimates the boot-time copy of .data and .ramcode: a

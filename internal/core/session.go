@@ -72,12 +72,11 @@ type Session struct {
 
 	graphs     memo[struct{}, map[string]*cfg.Graph]
 	spare      memo[struct{}, float64]
-	measures   memo[measureKey, *Measurement]
+	runs       memo[runKey, *Measurement]
 	freqs      memo[freqKey, freq.Estimate]
 	models     memo[modelKey, *model.Model]
 	solves     memo[solveKey, *placement.Result]
-	transforms memo[transformKey, *transformed]
-	optRuns    memo[optRunKey, *Measurement]
+	transforms memo[transformKey, *Transformed]
 	reports    memo[reportKey, *Report]
 	// intermits memoizes trace-driven runs per (image, trace, interval):
 	// the zero transform key is the baseline image, so an oblivious and
@@ -90,8 +89,8 @@ type Session struct {
 }
 
 // SessionConfig fixes the per-session invariants. Zero values mean the
-// pipeline defaults (STM32F100 profile, default memory map) — the same
-// defaults Options.fill applies.
+// pipeline defaults (STM32F100 profile, default memory map); NewSession
+// is the one place they are applied.
 type SessionConfig struct {
 	Profile *power.Profile
 	Layout  layout.Config
@@ -172,13 +171,15 @@ func (s *Session) LayoutConfig() layout.Config { return s.layout }
 // Stage keys. Each stage is memoized on exactly the parameters that can
 // change its output; everything else is a session invariant.
 
-// measureKey identifies one simulated run of the session program: the
-// placement (canonicalized label set), the instruction limit, and
-// whether the energy-attribution collector was attached.
-type measureKey struct {
-	placement string
-	maxInstrs uint64
+// runKey identifies one simulated run: the image — the session program
+// laid out under image.placement, or with optimized set the transformed
+// program of transform key image — the instruction limit, and whether
+// the energy-attribution collector was attached.
+type runKey struct {
+	image     transformKey
+	optimized bool
 	traced    bool
+	maxInstrs uint64
 }
 
 // freqKey identifies a frequency estimate: the static estimate has one
@@ -225,11 +226,13 @@ type reportKey struct {
 // configuration: the concrete outage schedule (canonical text form — a
 // profile name plus the measured horizon resolves to this before keying,
 // so identical schedules share memo slots however they were spelled),
-// the checkpoint interval, and whether the solve saw the checkpoint
-// term. The zero value is the always-powered pipeline.
+// the schedule's outage count, the checkpoint interval, and whether the
+// solve saw the checkpoint term. The zero value is the always-powered
+// pipeline.
 type intermittentSpec struct {
 	enabled    bool
 	trace      string
+	outages    int
 	ckptCycles uint64
 	aware      bool
 }
@@ -243,13 +246,6 @@ type transformKey struct {
 	placement string
 	linkTime  bool
 	rspare    float64
-}
-
-// optRunKey identifies one simulated run of a transformed program.
-type optRunKey struct {
-	transform transformKey
-	traced    bool
-	maxInstrs uint64
 }
 
 // intermitKey identifies one trace-driven run: the image (zero transform
@@ -276,20 +272,25 @@ func canonicalPlacement(inRAM map[string]bool) string {
 	return strings.Join(labels, "\x00")
 }
 
-// resolve normalizes Options into stage keys, filling the same defaults
-// the monolithic path fills, so that e.g. Xlimit 0 and Xlimit 2.0 hit
-// the same cache slot. With PowerTrace set, resolution includes the
-// baseline run (memoized — it is the trace horizon and the checkpoint
-// term's event-count basis), which is why it takes a context.
+// resolve validates Options and normalizes them into stage keys. Each
+// default is applied once, by the function that owns it: SpareRAM
+// derives Rspare here, resolveModel fills Xlimit and MaxCandidates,
+// resolveSolve fills Solver and ExhaustiveK — so Options{} and its
+// explicit spelling hit the same memo slots, and so do Model and Solve
+// calls that spell the same configuration. With PowerTrace set,
+// resolution includes the baseline run (memoized — it is the trace
+// horizon and the checkpoint term's event-count basis), which is why it
+// takes a context.
 func (s *Session) resolve(ctx context.Context, opts Options) (reportKey, error) {
+	if err := opts.Validate(); err != nil {
+		return reportKey{}, err
+	}
 	if opts.Profile != nil && opts.Profile != s.profile {
 		return reportKey{}, fmt.Errorf("core: session profile mismatch (build a new Session for a different board)")
 	}
 	if opts.Layout != (layout.Config{}) && opts.Layout != s.layout {
 		return reportKey{}, fmt.Errorf("core: session layout mismatch (build a new Session for a different memory map)")
 	}
-	opts.Profile, opts.Layout = s.profile, s.layout
-	opts.fill()
 	rspare := opts.Rspare
 	if rspare == 0 {
 		var err error
@@ -298,32 +299,29 @@ func (s *Session) resolve(ctx context.Context, opts Options) (reportKey, error) 
 			return reportKey{}, err
 		}
 	}
-	mc := opts.MaxCandidates
-	if mc == 0 {
-		mc = model.DefaultMaxCandidates
-	}
 	ispec, ckptNJ, err := s.resolveIntermittent(ctx, opts)
 	if err != nil {
 		return reportKey{}, err
 	}
 	return reportKey{
-		solve: solveKey{
-			model: modelKey{
-				freq:          freqKey{profiled: opts.UseProfile, maxInstrs: profiledMaxInstrs(opts.UseProfile, opts.MaxInstrs)},
-				rspare:        rspare,
-				xlimit:        opts.Xlimit,
-				maxCandidates: mc,
-				linkTime:      opts.LinkTime,
-				ckptNJPerByte: ckptNJ,
+		solve: resolveSolve(SolveSpec{
+			ModelSpec: ModelSpec{
+				UseProfile:    opts.UseProfile,
+				Rspare:        rspare,
+				Xlimit:        opts.Xlimit,
+				MaxCandidates: opts.MaxCandidates,
+				LinkTime:      opts.LinkTime,
+				MaxInstrs:     opts.MaxInstrs,
+				CkptNJPerByte: ckptNJ,
 			},
-			solver:      opts.Solver,
-			exhaustiveK: opts.ExhaustiveK,
-			budget: placement.Budget{
+			Solver:      opts.Solver,
+			ExhaustiveK: opts.ExhaustiveK,
+			Budget: placement.Budget{
 				MaxNodes:  opts.SolveMaxNodes,
 				MaxLPIter: opts.SolveMaxLPIter,
 				Timeout:   opts.SolveTimeout,
 			},
-		},
+		}),
 		traced:       opts.Trace,
 		maxInstrs:    opts.MaxInstrs,
 		intermittent: ispec,
@@ -354,6 +352,7 @@ func (s *Session) resolveIntermittent(ctx context.Context, opts Options) (interm
 	ispec := intermittentSpec{
 		enabled:    true,
 		trace:      tr.String(),
+		outages:    len(tr.Outages),
 		ckptCycles: opts.CheckpointCycles,
 		aware:      opts.CkptAware,
 	}
@@ -364,8 +363,7 @@ func (s *Session) resolveIntermittent(ctx context.Context, opts Options) (interm
 	if opts.CkptAware {
 		perCkptNJ, perRestoreNJ := sim.CheckpointCostPerByteNJ(s.profile)
 		nCkpt := float64(base.Stats.Cycles / ispec.ckptCycles)
-		nOut := float64(len(tr.Outages))
-		ckptNJ = nCkpt*perCkptNJ + nOut*perRestoreNJ
+		ckptNJ = nCkpt*perCkptNJ + float64(ispec.outages)*perRestoreNJ
 	}
 	return ispec, ckptNJ, nil
 }
@@ -418,38 +416,59 @@ type Measurement struct {
 
 // Measure lays out the session program with the given placement and
 // simulates it, memoizing on (placement, instruction limit, tracing).
-// A nil placement is the all-in-flash baseline. An untraced request is
-// satisfied by an already-completed traced run of the same
-// configuration: the observer is passive, so the statistics and final
-// memory state are identical. Cancelling ctx stops the simulation within
-// its poll window; a cancelled computation is evicted from the memo so a
-// later caller with a live context can retry.
+// A nil placement is the all-in-flash baseline. Cancelling ctx stops the
+// simulation within its poll window; a cancelled computation is evicted
+// from the memo so a later caller with a live context can retry.
 func (s *Session) Measure(ctx context.Context, inRAM map[string]bool, traced bool, maxInstrs uint64) (*Measurement, error) {
-	key := measureKey{placement: canonicalPlacement(inRAM), maxInstrs: maxInstrs, traced: traced}
-	if !traced {
+	key := runKey{image: transformKey{placement: canonicalPlacement(inRAM)}, traced: traced, maxInstrs: maxInstrs}
+	return s.run(ctx, key, func() (*layout.Image, error) { return s.placedImage(inRAM) })
+}
+
+// placedImage lays out the untransformed session program under inRAM.
+func (s *Session) placedImage(inRAM map[string]bool) (*layout.Image, error) {
+	img, err := layout.New(s.prog, s.layout, inRAM)
+	if err != nil {
+		return nil, errs.Wrap(errs.StageLayout, err)
+	}
+	return img, nil
+}
+
+// run is the simulation stage behind Measure and the optimized run of
+// Optimize: acquire a machine for the image, attach the collector when
+// traced, run, check trace conservation and snapshot the writable
+// globals. Untransformed images count under SessionStats.Baseline,
+// transformed ones under OptRun. A completed traced run serves untraced
+// requests for the same image: the observer is passive, so the
+// statistics and final memory state are identical.
+func (s *Session) run(ctx context.Context, key runKey, image func() (*layout.Image, error)) (*Measurement, error) {
+	counter, stage := &s.counters.baseline, errs.StageBaseline
+	if key.optimized {
+		counter, stage = &s.counters.optrun, errs.StageOptRun
+	}
+	if !key.traced {
 		tk := key
 		tk.traced = true
-		if m, ok := s.measures.peek(tk); ok {
-			s.counters.baseline.hit()
+		if m, ok := s.runs.peek(tk); ok {
+			counter.hit()
 			return m, nil
 		}
 	}
-	return s.measures.do(&s.counters.baseline, key, func() (*Measurement, error) {
-		img, err := layout.New(s.prog, s.layout, inRAM)
+	return s.runs.do(counter, key, func() (*Measurement, error) {
+		img, err := image()
 		if err != nil {
-			return nil, errs.Wrap(errs.StageLayout, err)
+			return nil, err
 		}
 		machine := s.acquireMachine(img)
 		defer s.releaseMachine(machine)
-		machine.MaxInstrs = maxInstrs
+		machine.MaxInstrs = key.maxInstrs
 		var col *trace.Collector
-		if traced {
+		if key.traced {
 			col = trace.NewCollector()
 			machine.Attach(col)
 		}
 		stats, err := machine.RunContext(ctx)
 		if err != nil {
-			return nil, errs.Wrap(errs.StageBaseline, err)
+			return nil, errs.Wrap(stage, err)
 		}
 		s.counters.simRuns.Add(1)
 		s.counters.cyclesSimulated.Add(stats.Cycles)
@@ -461,6 +480,12 @@ func (s *Session) Measure(ctx context.Context, inRAM map[string]bool, traced boo
 		}
 		if col != nil {
 			m.Trace = col.Profile()
+			// The attribution invariant is cheap to check and catastrophic
+			// to miss: every nanojoule the simulator charged must have
+			// landed in exactly one block.
+			if err := m.Trace.CheckConservation(stats); err != nil {
+				return nil, errs.Wrap(stage, err)
+			}
 		}
 		return m, nil
 	})
@@ -511,7 +536,8 @@ type ModelSpec struct {
 	CkptNJPerByte float64
 }
 
-func (s *Session) resolveModel(spec ModelSpec) modelKey {
+// resolveModel is the one place Xlimit and MaxCandidates default.
+func resolveModel(spec ModelSpec) modelKey {
 	if spec.Xlimit == 0 {
 		spec.Xlimit = 2.0
 	}
@@ -530,7 +556,7 @@ func (s *Session) resolveModel(spec ModelSpec) modelKey {
 
 // Model assembles (or reuses) the Eq. 1–9 cost model for the spec.
 func (s *Session) Model(ctx context.Context, spec ModelSpec) (*model.Model, error) {
-	return s.model(ctx, s.resolveModel(spec))
+	return s.model(ctx, resolveModel(spec))
 }
 
 func (s *Session) model(ctx context.Context, key modelKey) (*model.Model, error) {
@@ -573,18 +599,23 @@ type SolveSpec struct {
 
 // Solve runs (or reuses) the placement solver on the spec's model.
 func (s *Session) Solve(ctx context.Context, spec SolveSpec) (*placement.Result, error) {
+	return s.solve(ctx, resolveSolve(spec))
+}
+
+// resolveSolve is the one place Solver and ExhaustiveK default.
+func resolveSolve(spec SolveSpec) solveKey {
 	if spec.Solver == "" {
 		spec.Solver = SolverILP
 	}
 	if spec.ExhaustiveK == 0 {
 		spec.ExhaustiveK = 12
 	}
-	return s.solve(ctx, solveKey{
-		model:       s.resolveModel(spec.ModelSpec),
+	return solveKey{
+		model:       resolveModel(spec.ModelSpec),
 		solver:      spec.Solver,
 		exhaustiveK: spec.ExhaustiveK,
 		budget:      spec.Budget,
-	})
+	}
 }
 
 func (s *Session) solve(ctx context.Context, key solveKey) (*placement.Result, error) {
@@ -726,100 +757,96 @@ func absf(v float64) float64 {
 	return v
 }
 
-// transformed is the placement-determined artifact set: the transformed
-// program clone, the transformation report, the optimized image, and its
-// static analysis. All immutable after construction.
-type transformed struct {
-	prog *ir.Program
-	trep *transform.Report
-	img  *layout.Image
-	ares *analysis.Result
+// Transformed is the static half of one configuration: the Figure 4
+// transform of a program clone for the chosen placement, its layout and
+// the default analysis suite's verdict on that image. Nothing is
+// simulated. Error diagnostics are recorded in Analysis, not returned,
+// so a lint driver can print them; Optimize and StaticBounds refuse an
+// image that has any. Immutable once built, and shared by every
+// configuration that lands on the same placement, mode and budget.
+type Transformed struct {
+	// InRAM is the placement; Rspare the RAM budget the analysis
+	// verified the image against.
+	InRAM    map[string]bool
+	Rspare   float64
+	Program  *ir.Program
+	Report   *transform.Report
+	Image    *layout.Image
+	Analysis *analysis.Result
+
+	key transformKey
 }
 
-// transformFor clones, transforms, lays out and statically verifies the
-// program for one placement. res.InRAM must canonicalize to
-// key.placement.
-func (s *Session) transformFor(key transformKey, inRAM map[string]bool) (*transformed, error) {
-	return s.transforms.do(&s.counters.transform, key, func() (*transformed, error) {
+// Transform runs the static half of the pipeline for one configuration:
+// solve, transform, layout and the default analysis suite, with no
+// simulation. Unlike Optimize it returns an image whose analysis found
+// errors; the caller decides what to do with them.
+func (s *Session) Transform(ctx context.Context, opts Options) (*Transformed, error) {
+	key, err := s.resolve(ctx, opts)
+	if err != nil {
+		return nil, err
+	}
+	_, tf, err := s.transformOf(ctx, key.solve)
+	return tf, err
+}
+
+// transformOf solves key, then clones, transforms, lays out and
+// statically verifies the program for the chosen placement. The
+// transform is memoized on the placement, not the solve: solves that
+// pick the same blocks share one Transformed.
+func (s *Session) transformOf(ctx context.Context, key solveKey) (*placement.Result, *Transformed, error) {
+	res, err := s.solve(ctx, key)
+	if err != nil {
+		return nil, nil, err
+	}
+	tkey := transformKey{
+		placement: canonicalPlacement(res.InRAM),
+		linkTime:  key.model.linkTime,
+		rspare:    key.model.rspare,
+	}
+	tf, err := s.transforms.do(&s.counters.transform, tkey, func() (*Transformed, error) {
 		// Transformation on a clone: the shared session program stays
 		// pristine for every other configuration.
 		opt := s.prog.Clone()
 		applyFn := transform.Apply
-		if key.linkTime {
+		if tkey.linkTime {
 			applyFn = transform.ApplyLinkTime
 		}
-		trep, err := applyFn(opt, inRAM)
+		trep, err := applyFn(opt, res.InRAM)
 		if err != nil {
 			return nil, errs.Wrap(errs.StageTransform, err)
 		}
-		optImg, err := layout.New(opt, s.layout, inRAM)
+		optImg, err := layout.New(opt, s.layout, res.InRAM)
 		if err != nil {
 			return nil, errs.Wrap(errs.StageLayout, err)
 		}
 
 		// Static verification of the transformed artifact: every branch in
 		// range, every cross-memory edge instrumented with a dead scratch,
-		// the CFG preserved, the memory map sound, the stack bounded. Error
-		// diagnostics abort the run before simulation can mask them.
+		// the CFG preserved, the memory map sound, the stack bounded.
 		ares, err := analysis.Analyze(&analysis.Context{
-			Original: s.prog, Prog: opt, InRAM: inRAM,
-			Config: s.layout, Image: optImg, Rspare: key.rspare,
+			Original: s.prog, Prog: opt, InRAM: res.InRAM,
+			Config: s.layout, Image: optImg, Rspare: tkey.rspare,
 		})
 		if err != nil {
 			return nil, errs.Wrap(errs.StageAnalysis, err)
 		}
-		if n := len(ares.Errors()); n > 0 {
-			return nil, errs.Wrap(errs.StageAnalysis, fmt.Errorf("found %d error(s):\n%s", n, ares))
-		}
-		return &transformed{prog: opt, trep: trep, img: optImg, ares: ares}, nil
+		return &Transformed{InRAM: res.InRAM, Rspare: tkey.rspare, Program: opt, Report: trep,
+			Image: optImg, Analysis: ares, key: tkey}, nil
 	})
+	if err != nil {
+		return nil, nil, err
+	}
+	return res, tf, nil
 }
 
-// optRun simulates a transformed image, memoized on (placement, mode,
-// tracing, instruction limit) — so the static and profiled variants of a
-// configuration that land on the same placement simulate it once. As
-// with Measure, a completed traced run satisfies untraced requests.
-func (s *Session) optRun(ctx context.Context, key optRunKey, tf *transformed) (*Measurement, error) {
-	if !key.traced {
-		tk := key
-		tk.traced = true
-		if m, ok := s.optRuns.peek(tk); ok {
-			s.counters.optrun.hit()
-			return m, nil
-		}
+// verified fails on error diagnostics, so no image the analysis rejects
+// is simulated or bracketed.
+func (tf *Transformed) verified() error {
+	if n := len(tf.Analysis.Errors()); n > 0 {
+		return errs.Wrap(errs.StageAnalysis, fmt.Errorf("found %d error(s):\n%s", n, tf.Analysis))
 	}
-	return s.optRuns.do(&s.counters.optrun, key, func() (*Measurement, error) {
-		machine := s.acquireMachine(tf.img)
-		defer s.releaseMachine(machine)
-		machine.MaxInstrs = key.maxInstrs
-		var col *trace.Collector
-		if key.traced {
-			col = trace.NewCollector()
-			machine.Attach(col)
-		}
-		stats, err := machine.RunContext(ctx)
-		if err != nil {
-			return nil, errs.Wrap(errs.StageOptRun, err)
-		}
-		s.counters.simRuns.Add(1)
-		s.counters.cyclesSimulated.Add(stats.Cycles)
-		m := &Measurement{
-			Image:   tf.img,
-			Stats:   stats,
-			Metrics: metrics(machine, stats, tf.img),
-			globals: snapshotGlobals(s.prog, machine),
-		}
-		if col != nil {
-			m.Trace = col.Profile()
-			// The attribution invariant is cheap to check and catastrophic
-			// to miss: every nanojoule the simulator charged must have
-			// landed in exactly one block.
-			if err := m.Trace.CheckConservation(stats); err != nil {
-				return nil, errs.Wrap(errs.StageOptRun, err)
-			}
-		}
-		return m, nil
-	})
+	return nil
 }
 
 // intermittentRun replays the key's power trace against one image,
@@ -856,27 +883,17 @@ func (s *Session) intermittentRun(ctx context.Context, key intermitKey, img *lay
 
 // boundsFor brackets (once per placement) the placed image's energy and
 // cycles without simulating it. The zero key is the all-in-flash
-// baseline; any other key reuses — or builds — the placement's
-// transformed image. Structure (CFG, loops, calls) always comes from the
-// pristine session program; costs from the placed blocks.
-func (s *Session) boundsFor(key transformKey, inRAM map[string]bool) (*bounds.Result, error) {
+// baseline. Structure (CFG, loops, calls) always comes from the pristine
+// session program; costs from the placed blocks.
+func (s *Session) boundsFor(key transformKey, image func() (*layout.Image, error)) (*bounds.Result, error) {
 	return s.brackets.do(&s.counters.bounds, key, func() (*bounds.Result, error) {
 		graphs, err := s.Graphs()
 		if err != nil {
 			return nil, err
 		}
-		var img *layout.Image
-		if key == (transformKey{}) {
-			img, err = layout.New(s.prog, s.layout, nil)
-			if err != nil {
-				return nil, errs.Wrap(errs.StageLayout, err)
-			}
-		} else {
-			tf, err := s.transformFor(key, inRAM)
-			if err != nil {
-				return nil, err
-			}
-			img = tf.img
+		img, err := image()
+		if err != nil {
+			return nil, err
 		}
 		br, err := bounds.Compute(s.prog, graphs, img, s.profile)
 		if err != nil {
@@ -889,7 +906,7 @@ func (s *Session) boundsFor(key transformKey, inRAM map[string]bool) (*bounds.Re
 // BaselineBounds brackets the all-in-flash baseline image statically —
 // no simulation runs.
 func (s *Session) BaselineBounds() (*bounds.Result, error) {
-	return s.boundsFor(transformKey{}, nil)
+	return s.boundsFor(transformKey{}, func() (*layout.Image, error) { return s.placedImage(nil) })
 }
 
 // StaticBounds runs the static half of the pipeline for one
@@ -902,16 +919,14 @@ func (s *Session) StaticBounds(ctx context.Context, opts Options) (*bounds.Resul
 	if err != nil {
 		return nil, err
 	}
-	res, err := s.solve(ctx, key.solve)
+	_, tf, err := s.transformOf(ctx, key.solve)
 	if err != nil {
 		return nil, err
 	}
-	tkey := transformKey{
-		placement: canonicalPlacement(res.InRAM),
-		linkTime:  key.solve.model.linkTime,
-		rspare:    key.solve.model.rspare,
+	if err := tf.verified(); err != nil {
+		return nil, err
 	}
-	return s.boundsFor(tkey, res.InRAM)
+	return s.boundsFor(tf.key, func() (*layout.Image, error) { return tf.Image, nil })
 }
 
 // PruneAgainst decides admissible pruning for one configuration: true
@@ -957,25 +972,19 @@ func (s *Session) optimize(ctx context.Context, key reportKey) (*Report, error) 
 	if err != nil {
 		return nil, err
 	}
-	res, err := s.solve(ctx, key.solve)
+	res, tf, err := s.transformOf(ctx, key.solve)
 	if err != nil {
+		return nil, err
+	}
+	if err := tf.verified(); err != nil {
 		return nil, err
 	}
 	mdl, err := s.model(ctx, key.solve.model)
 	if err != nil {
 		return nil, err
 	}
-
-	tkey := transformKey{
-		placement: canonicalPlacement(res.InRAM),
-		linkTime:  key.solve.model.linkTime,
-		rspare:    key.solve.model.rspare,
-	}
-	tf, err := s.transformFor(tkey, res.InRAM)
-	if err != nil {
-		return nil, err
-	}
-	orun, err := s.optRun(ctx, optRunKey{transform: tkey, traced: key.traced, maxInstrs: key.maxInstrs}, tf)
+	orun, err := s.run(ctx, runKey{image: tf.key, optimized: true, traced: key.traced, maxInstrs: key.maxInstrs},
+		func() (*layout.Image, error) { return tf.Image, nil })
 	if err != nil {
 		return nil, err
 	}
@@ -992,21 +1001,16 @@ func (s *Session) optimize(ctx context.Context, key reportKey) (*Report, error) 
 		Optimized:      orun.Metrics,
 		Placement:      res,
 		Model:          mdl,
-		Transform:      tf.trep,
-		Optimized0:     tf.prog,
-		Image:          tf.img,
-		Analysis:       tf.ares,
+		Transform:      tf.Report,
+		Optimized0:     tf.Program,
+		Image:          tf.Image,
+		Analysis:       tf.Analysis,
 		Strategy:       res.Strategy,
 		StrategyReason: res.StrategyReason,
 	}
 	if key.traced {
 		rep.BaselineTrace = base.Trace
 		rep.OptimizedTrace = orun.Trace
-		// Baseline conservation is checked here (the optimized run checks
-		// its own when it is simulated).
-		if err := rep.BaselineTrace.CheckConservation(base.Stats); err != nil {
-			return nil, errs.Wrap(errs.StageBaseline, err)
-		}
 	}
 	if rep.Baseline.EnergyMJ > 0 {
 		rep.Ke = rep.Optimized.EnergyMJ / rep.Baseline.EnergyMJ
@@ -1019,7 +1023,7 @@ func (s *Session) optimize(ctx context.Context, key reportKey) (*Report, error) 
 	if rep.Baseline.PowerMW > 0 {
 		rep.PowerChange = rep.Optimized.PowerMW/rep.Baseline.PowerMW - 1
 	}
-	rep.StartupCopyCycles, rep.StartupCopyEnergyMJ = startupCopyCost(tf.img, s.profile)
+	rep.StartupCopyCycles, rep.StartupCopyEnergyMJ = startupCopyCost(tf.Image, s.profile)
 
 	// The intermittent tail: replay the same concrete outage schedule
 	// against both images. The baseline run shares the zero transform
@@ -1034,20 +1038,14 @@ func (s *Session) optimize(ctx context.Context, key reportKey) (*Report, error) 
 			return nil, err
 		}
 		optRep, err := s.intermittentRun(ctx, intermitKey{
-			transform: tkey, trace: is.trace, ckptCycles: is.ckptCycles, maxInstrs: key.maxInstrs,
-		}, tf.img)
+			transform: tf.key, trace: is.trace, ckptCycles: is.ckptCycles, maxInstrs: key.maxInstrs,
+		}, tf.Image)
 		if err != nil {
 			return nil, err
 		}
-		nOut := 0
-		if is.trace != "" {
-			if tr, err := sim.ParsePowerTrace([]byte(is.trace)); err == nil {
-				nOut = len(tr.Outages)
-			}
-		}
 		rep.Intermittent = &IntermittentComparison{
 			Spec:             is.trace,
-			Outages:          nOut,
+			Outages:          is.outages,
 			CheckpointCycles: is.ckptCycles,
 			CkptAware:        is.aware,
 			CkptNJPerByte:    key.solve.model.ckptNJPerByte,

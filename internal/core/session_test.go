@@ -4,14 +4,18 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
 	"reflect"
 	"sync"
 	"testing"
+	"time"
 
 	"repro/internal/beebs"
 	"repro/internal/core"
+	"repro/internal/errs"
 	"repro/internal/layout"
 	"repro/internal/mcc"
+	"repro/internal/model"
 	"repro/internal/sim"
 )
 
@@ -180,8 +184,88 @@ func TestSessionTracedBaselineServesUntraced(t *testing.T) {
 	if rep.BaselineTrace != nil {
 		t.Error("untraced request returned a traced report")
 	}
-	if st := s.Stats(); st.Baseline.Misses != 1 {
+	st := s.Stats()
+	if st.Baseline.Misses != 1 {
 		t.Errorf("baseline simulated %d times for traced+untraced, want 1", st.Baseline.Misses)
+	}
+	// The same rule serves the optimized image: one traced run of each
+	// image, nothing simulated for the untraced request.
+	if st.OptRun.Misses != 1 || st.SimRuns != 2 {
+		t.Errorf("opt-run misses %d, sim runs %d for traced+untraced, want 1 and 2", st.OptRun.Misses, st.SimRuns)
+	}
+}
+
+// TestSessionDefaultSpellingsShareMemo: a configuration spelled with the
+// defaults written out resolves to the same memo slots as the zero
+// Options, and the Model and Solve stages called with the derived
+// budget hit the slots Optimize filled (the replay in perfbench relies
+// on both).
+func TestSessionDefaultSpellingsShareMemo(t *testing.T) {
+	ctx := context.Background()
+	s := sessionForTest(t, "crc32", mcc.O2)
+	rep, err := s.Optimize(ctx, core.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	spare, err := s.SpareRAM()
+	if err != nil {
+		t.Fatal(err)
+	}
+	before := s.Stats()
+	explicit, err := s.Optimize(ctx, core.Options{Xlimit: 2, MaxCandidates: model.DefaultMaxCandidates,
+		ExhaustiveK: 12, Solver: core.SolverILP, Rspare: spare})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if explicit != rep {
+		t.Error("the explicit default spelling built a second Report")
+	}
+	mdl, err := s.Model(ctx, core.ModelSpec{Rspare: spare})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if mdl != rep.Model {
+		t.Error("Model with the derived Rspare built a second model")
+	}
+	res, err := s.Solve(ctx, core.SolveSpec{ModelSpec: core.ModelSpec{Rspare: spare}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res != rep.Placement {
+		t.Error("Solve with the derived Rspare ran a second solve")
+	}
+	after := s.Stats()
+	if after.Optimize.Misses != before.Optimize.Misses || after.Model.Misses != before.Model.Misses ||
+		after.Solve.Misses != before.Solve.Misses {
+		t.Errorf("explicit defaults missed a memo: before %+v, after %+v", before, after)
+	}
+}
+
+// TestSessionRejectsNegativeKnobs: a negative constraint or solve budget
+// is bad input on every Options-taking stage, refused before anything
+// is compiled, simulated or solved (the CLIs reach the pipeline here).
+func TestSessionRejectsNegativeKnobs(t *testing.T) {
+	ctx := context.Background()
+	s := sessionForTest(t, "fdct", mcc.O2)
+	for _, opts := range []core.Options{
+		{Xlimit: -1},
+		{Rspare: -1},
+		{Xlimit: 1.05, SolveMaxNodes: -1},
+		{SolveMaxLPIter: -5},
+		{SolveTimeout: -time.Second},
+	} {
+		if _, err := s.Optimize(ctx, opts); !errors.Is(err, errs.ErrBadInput) {
+			t.Errorf("Optimize(%+v) = %v, want ErrBadInput", opts, err)
+		}
+		if _, err := s.Transform(ctx, opts); !errors.Is(err, errs.ErrBadInput) {
+			t.Errorf("Transform(%+v) = %v, want ErrBadInput", opts, err)
+		}
+		if _, err := s.StaticBounds(ctx, opts); !errors.Is(err, errs.ErrBadInput) {
+			t.Errorf("StaticBounds(%+v) = %v, want ErrBadInput", opts, err)
+		}
+	}
+	if st := s.Stats(); st != (core.SessionStats{}) {
+		t.Errorf("rejected configurations did pipeline work: %+v", st)
 	}
 }
 

@@ -5,6 +5,7 @@ import (
 	"errors"
 
 	"repro/internal/beebs"
+	"repro/internal/core"
 	"repro/internal/errs"
 	"repro/internal/mcc"
 )
@@ -16,7 +17,7 @@ import (
 type Cell struct {
 	Bench *beebs.Benchmark
 	Level mcc.OptLevel
-	Opts  Options
+	Opts  core.Options
 }
 
 // RunCells runs every cell across the sweep's bounded, panic-isolated

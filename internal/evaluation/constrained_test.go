@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"repro/internal/beebs"
+	"repro/internal/core"
 	"repro/internal/mcc"
 )
 
@@ -14,7 +15,7 @@ import (
 // whose magnitudes sit closest to the paper's measurements.
 func TestConstrainedTable(t *testing.T) {
 	for _, b := range beebs.All() {
-		r, err := NewSweep(1).RunBenchmark(context.Background(), b, mcc.O2, Options{Rspare: 320, Xlimit: 1.35})
+		r, err := NewSweep(1).RunBenchmark(context.Background(), b, mcc.O2, core.Options{Rspare: 320, Xlimit: 1.35})
 		if err != nil {
 			t.Fatal(err)
 		}

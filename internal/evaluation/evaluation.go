@@ -13,7 +13,6 @@ import (
 	"context"
 	"fmt"
 	"sort"
-	"time"
 
 	"repro/internal/beebs"
 	"repro/internal/casestudy"
@@ -31,77 +30,17 @@ type Run struct {
 	Report *core.Report
 }
 
-// Options tune the pipeline for an evaluation run.
-type Options struct {
-	// UseProfile feeds measured block frequencies to the model (the
-	// Figure 5 "w/Frequency" dots).
-	UseProfile bool
-	// Solver overrides the placement algorithm ("" = ILP).
-	Solver core.Solver
-	// Xlimit overrides the time constraint (0 = pipeline default 2.0).
-	Xlimit float64
-	// Rspare overrides the RAM budget (0 = derive statically).
-	Rspare float64
-	// LinkTime enables the §8 link-time extension (library code becomes
-	// placeable).
-	LinkTime bool
-	// Trace attaches the internal/trace attribution collectors, filling
-	// Report.BaselineTrace/OptimizedTrace.
-	Trace bool
-	// MaxInstrs bounds each simulated run (0 = simulator default).
-	MaxInstrs uint64
-
-	// PowerTrace schedules injected power failures for an intermittent
-	// replay of both images (DESIGN.md §6l): a harvest-profile name
-	// (sim.HarvestProfiles) or an inline trace spec. "" = always powered.
-	PowerTrace string
-	// CheckpointCycles is the periodic checkpoint interval in executed
-	// cycles (0 = sim.DefaultCheckpointCycles).
-	CheckpointCycles uint64
-	// CkptAware prices RAM residency's per-checkpoint journal traffic
-	// into the placement model (model.Params.CkptNJPerByte), so the
-	// solve trades flash fetch savings against checkpoint cost.
-	CkptAware bool
-
-	// SolveMaxNodes, SolveMaxLPIter and SolveTimeout bound the ILP solve
-	// (0 = unlimited); tripped budgets degrade down the placement ladder
-	// instead of failing, and each Report's Strategy names the rung.
-	SolveMaxNodes  int
-	SolveMaxLPIter int
-	SolveTimeout   time.Duration
-}
-
-// Core lowers the evaluation knobs onto the pipeline's option set (the
-// service's request handlers call it too).
-func (o Options) Core() core.Options {
-	return core.Options{
-		UseProfile:       o.UseProfile,
-		Solver:           o.Solver,
-		Xlimit:           o.Xlimit,
-		Rspare:           o.Rspare,
-		LinkTime:         o.LinkTime,
-		Trace:            o.Trace,
-		MaxInstrs:        o.MaxInstrs,
-		PowerTrace:       o.PowerTrace,
-		CheckpointCycles: o.CheckpointCycles,
-		CkptAware:        o.CkptAware,
-		SolveMaxNodes:    o.SolveMaxNodes,
-		SolveMaxLPIter:   o.SolveMaxLPIter,
-		SolveTimeout:     o.SolveTimeout,
-	}
-}
-
 // RunBenchmark executes the full pipeline for one benchmark at one level,
 // reusing the sweep's session for the cell (compile, baseline run, CFG,
 // frequency and model stages are shared with every other configuration of
 // the same cell). Errors carry the benchmark × level attribution
 // (errs.Error) on top of the failing stage's own.
-func (sw *Sweep) RunBenchmark(ctx context.Context, b *beebs.Benchmark, level mcc.OptLevel, opts Options) (*Run, error) {
+func (sw *Sweep) RunBenchmark(ctx context.Context, b *beebs.Benchmark, level mcc.OptLevel, opts core.Options) (*Run, error) {
 	sess, err := sw.Session(b, level)
 	if err != nil {
 		return nil, errs.AtBench(b.Name, level.String(), errs.Wrap(errs.StageCompile, err))
 	}
-	rep, err := sess.Optimize(ctx, opts.Core())
+	rep, err := sess.Optimize(ctx, opts)
 	if err != nil {
 		return nil, errs.AtBench(b.Name, level.String(), err)
 	}
@@ -141,11 +80,11 @@ func (sw *Sweep) Figure5(ctx context.Context, levels []mcc.OptLevel) ([]Figure5R
 	}
 	err := sw.forEach(ctx, len(own), func(i int) error {
 		j := jobs[own[i]]
-		static, err := sw.RunBenchmark(ctx, j.bench, j.level, Options{})
+		static, err := sw.RunBenchmark(ctx, j.bench, j.level, core.Options{})
 		if err != nil {
 			return err
 		}
-		prof, err := sw.RunBenchmark(ctx, j.bench, j.level, Options{UseProfile: true})
+		prof, err := sw.RunBenchmark(ctx, j.bench, j.level, core.Options{UseProfile: true})
 		if err != nil {
 			return err
 		}
@@ -247,7 +186,7 @@ func (sw *Sweep) RunAggregate(ctx context.Context, levels []mcc.OptLevel) (*Aggr
 	own := sw.Shard.indices(len(jobs))
 	runs := make([]*Run, len(own))
 	err := sw.forEach(ctx, len(own), func(i int) error {
-		r, err := sw.RunBenchmark(ctx, jobs[own[i]].bench, jobs[own[i]].level, Options{})
+		r, err := sw.RunBenchmark(ctx, jobs[own[i]].bench, jobs[own[i]].level, core.Options{})
 		if err != nil {
 			return err
 		}
@@ -292,7 +231,7 @@ func (sw *Sweep) TopSavers(ctx context.Context, levels []mcc.OptLevel, n int) ([
 		rows[i] = SaversRow{Bench: jobs[j].bench.Name, Level: jobs[j].level, Incomplete: true}
 	}
 	err := sw.forEach(ctx, len(own), func(i int) error {
-		r, err := sw.RunBenchmark(ctx, jobs[own[i]].bench, jobs[own[i]].level, Options{Trace: true})
+		r, err := sw.RunBenchmark(ctx, jobs[own[i]].bench, jobs[own[i]].level, core.Options{Trace: true})
 		if err != nil {
 			return err
 		}
@@ -454,7 +393,7 @@ func (sw *Sweep) Figure9(ctx context.Context, level mcc.OptLevel, multiples []fl
 		if !sw.Shard.Owns(j) {
 			continue
 		}
-		r, err := sw.RunBenchmark(ctx, beebs.Get(name), level, Options{})
+		r, err := sw.RunBenchmark(ctx, beebs.Get(name), level, core.Options{})
 		if err != nil {
 			// The completed series still stand; the error names the
 			// benchmark that broke the sweep.

@@ -11,7 +11,7 @@ import (
 )
 
 func TestSingleBenchmarkShape(t *testing.T) {
-	r, err := NewSweep(1).RunBenchmark(context.Background(), beebs.Get("int_matmult"), mcc.O2, Options{})
+	r, err := NewSweep(1).RunBenchmark(context.Background(), beebs.Get("int_matmult"), mcc.O2, core.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -37,7 +37,7 @@ func TestSingleBenchmarkShape(t *testing.T) {
 func TestFloatBenchmarksBarelyImprove(t *testing.T) {
 	intSaving := 0.0
 	for _, name := range []string{"int_matmult", "fdct"} {
-		r, err := NewSweep(1).RunBenchmark(context.Background(), beebs.Get(name), mcc.O2, Options{})
+		r, err := NewSweep(1).RunBenchmark(context.Background(), beebs.Get(name), mcc.O2, core.Options{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -45,7 +45,7 @@ func TestFloatBenchmarksBarelyImprove(t *testing.T) {
 	}
 	intSaving /= 2
 	for _, name := range []string{"cubic", "float_matmult"} {
-		r, err := NewSweep(1).RunBenchmark(context.Background(), beebs.Get(name), mcc.O2, Options{})
+		r, err := NewSweep(1).RunBenchmark(context.Background(), beebs.Get(name), mcc.O2, core.Options{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -61,11 +61,11 @@ func TestProfiledFrequenciesAgree(t *testing.T) {
 	// §6: "the results are very similar when the basic block frequency is
 	// estimated, versus the actual frequencies."
 	for _, name := range []string{"crc32", "fdct"} {
-		static, err := NewSweep(1).RunBenchmark(context.Background(), beebs.Get(name), mcc.O2, Options{})
+		static, err := NewSweep(1).RunBenchmark(context.Background(), beebs.Get(name), mcc.O2, core.Options{})
 		if err != nil {
 			t.Fatal(err)
 		}
-		prof, err := NewSweep(1).RunBenchmark(context.Background(), beebs.Get(name), mcc.O2, Options{UseProfile: true})
+		prof, err := NewSweep(1).RunBenchmark(context.Background(), beebs.Get(name), mcc.O2, core.Options{UseProfile: true})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -197,7 +197,7 @@ func TestSolverAblation(t *testing.T) {
 	for _, name := range []string{"int_matmult", "fdct"} {
 		var energies = map[core.Solver]float64{}
 		for _, solver := range []core.Solver{core.SolverILP, core.SolverGreedy, core.SolverFunction} {
-			r, err := NewSweep(1).RunBenchmark(context.Background(), beebs.Get(name), mcc.O2, Options{Solver: solver})
+			r, err := NewSweep(1).RunBenchmark(context.Background(), beebs.Get(name), mcc.O2, core.Options{Solver: solver})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -219,7 +219,7 @@ func TestSolverAblation(t *testing.T) {
 func TestTightBudgetStillValid(t *testing.T) {
 	// Failure injection: tiny Rspare and minimal Xlimit must degrade
 	// gracefully to near-baseline, never break the program.
-	r, err := NewSweep(1).RunBenchmark(context.Background(), beebs.Get("sha"), mcc.O2, Options{Rspare: 16, Xlimit: 1.001})
+	r, err := NewSweep(1).RunBenchmark(context.Background(), beebs.Get("sha"), mcc.O2, core.Options{Rspare: 16, Xlimit: 1.001})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -4,6 +4,7 @@ import (
 	"context"
 
 	"repro/internal/casestudy"
+	"repro/internal/core"
 	"repro/internal/mcc"
 	"repro/internal/power"
 	"repro/internal/sim"
@@ -91,7 +92,7 @@ func (sw *Sweep) Intermittent(ctx context.Context, levels []mcc.OptLevel, profil
 	}
 	err := sw.forEach(ctx, len(own), func(i int) error {
 		c := cells[own[i]]
-		opts := Options{PowerTrace: c.profile}
+		opts := core.Options{PowerTrace: c.profile}
 		obl, err := sw.RunBenchmark(ctx, c.job.bench, c.job.level, opts)
 		if err != nil {
 			return err

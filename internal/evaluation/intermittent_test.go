@@ -10,6 +10,7 @@ import (
 
 	"repro/internal/beebs"
 	"repro/internal/casestudy"
+	"repro/internal/core"
 	"repro/internal/errs"
 	"repro/internal/mcc"
 	"repro/internal/sim"
@@ -126,7 +127,7 @@ func TestNoFuseDifferentialIntermittent(t *testing.T) {
 		b := benches[rng.Intn(len(benches))]
 		level := levels[rng.Intn(len(levels))]
 		profile := profiles[rng.Intn(len(profiles))]
-		opts := Options{PowerTrace: profile, CkptAware: i%2 == 0}
+		opts := core.Options{PowerTrace: profile, CkptAware: i%2 == 0}
 		name := b.Name + " " + level.String() + " " + profile
 
 		fr, fErr := fused.RunBenchmark(context.Background(), b, level, opts)

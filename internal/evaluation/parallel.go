@@ -241,10 +241,13 @@ func runIsolated(fn func(i int) error, i int) error {
 //
 // Two failure modes are deliberately distinct:
 //
-//   - An ordinary error stops dispatch: unstarted jobs above the lowest
-//     failing index are neither dispatched nor run (in-flight ones
-//     finish); jobs below it still run, so the lowest-indexed failure is
-//     always the leading one reported.
+//   - An ordinary error stops dispatch once its worker has recorded it,
+//     which it does before taking another job: from then on no job above
+//     the lowest recorded failing index is dispatched or started. Jobs
+//     other workers took before the record still run (in-flight ones
+//     finish), so how many jobs above the failure ran depends on the
+//     schedule; jobs below it always run, so the lowest-indexed failure
+//     is always the leading one reported.
 //   - A panic is isolated: it becomes an *errs.PanicError for that item
 //     and every other item still runs — a single pathological cell
 //     forfeits only its own result.

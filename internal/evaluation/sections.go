@@ -7,6 +7,7 @@ import (
 
 	"repro/internal/beebs"
 	"repro/internal/casestudy"
+	"repro/internal/core"
 	"repro/internal/mcc"
 	"repro/internal/sim"
 )
@@ -179,7 +180,7 @@ func runCaseStudy(ctx context.Context, sw *Sweep, _ int, doc *Document, w io.Wri
 	if !sw.Shard.Owns(0) {
 		return nil
 	}
-	r, err := sw.RunBenchmark(ctx, beebs.Get("fdct"), mcc.O2, Options{})
+	r, err := sw.RunBenchmark(ctx, beebs.Get("fdct"), mcc.O2, core.Options{})
 	if err != nil {
 		return err
 	}
@@ -294,9 +295,9 @@ func runIntermittent(ctx context.Context, sw *Sweep, _ int, doc *Document, w io.
 // way, only session_stats' prune_checked/prune_skipped move.
 func runSelect(ctx context.Context, sw *Sweep, _ int, doc *Document, w io.Writer) error {
 	cands := []Candidate{
-		{Name: "static", Opts: Options{}},
-		{Name: "profiled", Opts: Options{UseProfile: true}},
-		{Name: "all-flash", Opts: Options{Rspare: 1}},
+		{Name: "static", Opts: core.Options{}},
+		{Name: "profiled", Opts: core.Options{UseProfile: true}},
+		{Name: "all-flash", Opts: core.Options{Rspare: 1}},
 	}
 	if w != nil {
 		fmt.Fprintln(w, "== best configuration per benchmark (O2) ==")

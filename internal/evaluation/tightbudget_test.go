@@ -18,7 +18,7 @@ import (
 func TestTightBudgetFrequencySensitivity(t *testing.T) {
 	run := func(solver core.Solver, prof bool) *core.Report {
 		r, err := NewSweep(1).RunBenchmark(context.Background(), beebs.Get("dijkstra"), mcc.O2,
-			Options{Solver: solver, Rspare: 512, UseProfile: prof})
+			core.Options{Solver: solver, Rspare: 512, UseProfile: prof})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -411,8 +411,9 @@ func (s *Solver) mostFractional(x []float64) int {
 }
 
 // SolveExhaustive enumerates every assignment of the binaries (2^k) and
-// returns the true optimum. Only usable for small k; serves as the oracle
-// in tests and as the Figure 6 point-cloud generator's core. Cancelling
+// returns the true optimum. Only usable for small k; it is the oracle the
+// branch-and-bound tests compare against (the Figure 6 point cloud and
+// the exhaustive placement solver use placement.Enumerate). Cancelling
 // ctx aborts the enumeration with the context error wrapped — a partial
 // enumeration proves nothing, so no incumbent is returned.
 func (s *Solver) SolveExhaustive(ctx context.Context) (*Result, error) {

@@ -208,8 +208,8 @@ func (r *OptimizeRequest) resolve() (evaluation.Cell, error) {
 	default:
 		return cell, errs.BadInput(fmt.Errorf("unknown solver %q", r.Solver))
 	}
-	if r.Xlimit < 0 || r.Rspare < 0 || r.TimeoutMS < 0 || r.SolveTimeoutMS < 0 {
-		return cell, errs.BadInput(fmt.Errorf("negative knobs are invalid"))
+	if r.TimeoutMS < 0 {
+		return cell, errs.BadInput(fmt.Errorf("negative timeout_ms is invalid"))
 	}
 	if r.PowerTrace != "" {
 		// Resolve against a placeholder horizon: profile names generate
@@ -220,7 +220,7 @@ func (r *OptimizeRequest) resolve() (evaluation.Cell, error) {
 			return cell, errs.BadInput(err)
 		}
 	}
-	cell.Opts = evaluation.Options{
+	cell.Opts = core.Options{
 		UseProfile:       r.UseProfile,
 		Solver:           core.Solver(r.Solver),
 		Xlimit:           r.Xlimit,
@@ -233,6 +233,9 @@ func (r *OptimizeRequest) resolve() (evaluation.Cell, error) {
 		SolveMaxNodes:    r.SolveMaxNodes,
 		SolveMaxLPIter:   r.SolveMaxLPIter,
 		SolveTimeout:     time.Duration(r.SolveTimeoutMS) * time.Millisecond,
+	}
+	if err := cell.Opts.Validate(); err != nil {
+		return cell, err
 	}
 	return cell, nil
 }
@@ -303,11 +306,6 @@ func (s *Server) handleOptimize(w http.ResponseWriter, r *http.Request) {
 	ctx, cancel := s.requestContext(r, req.TimeoutMS)
 	defer cancel()
 
-	if s.draining.Load() {
-		s.requests.rejected.Add(1)
-		s.writeError(w, fmt.Errorf("server is draining: %w", errs.ErrUnavailable))
-		return
-	}
 	if err := s.admit(ctx); err != nil {
 		s.writeError(w, err)
 		return
@@ -389,7 +387,7 @@ func (s *Server) runCell(ctx context.Context, cell evaluation.Cell) (*evaluation
 			// faults.
 			return errs.BadInput(err)
 		}
-		rep, err := sess.Optimize(ctx, cell.Opts.Core())
+		rep, err := sess.Optimize(ctx, cell.Opts)
 		if err != nil {
 			return err
 		}
@@ -432,11 +430,6 @@ func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 	ctx, cancel := s.requestContext(r, timeoutMS)
 	defer cancel()
 
-	if s.draining.Load() {
-		s.requests.rejected.Add(1)
-		s.writeError(w, fmt.Errorf("server is draining: %w", errs.ErrUnavailable))
-		return
-	}
 	// One admission slot per sweep request; the cells then fan out over
 	// the sweep's own bounded pool, whose sessions come from — and stay
 	// in — the cross-request store.

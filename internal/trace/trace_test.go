@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"repro/internal/beebs"
+	"repro/internal/core"
 	"repro/internal/evaluation"
 	"repro/internal/freq"
 	"repro/internal/layout"
@@ -29,7 +30,7 @@ func TestConservationAllBenchmarks(t *testing.T) {
 	for _, bench := range beebs.All() {
 		for _, level := range []mcc.OptLevel{mcc.O2, mcc.Os} {
 			t.Run(bench.Name+"/"+level.String(), func(t *testing.T) {
-				r, err := evaluation.NewSweep(1).RunBenchmark(context.Background(), bench, level, evaluation.Options{Trace: true})
+				r, err := evaluation.NewSweep(1).RunBenchmark(context.Background(), bench, level, core.Options{Trace: true})
 				if err != nil {
 					t.Fatal(err)
 				}

@@ -94,6 +94,18 @@ if [ -n "$fusedmaps" ]; then
     exit 1
 fi
 
+# The commands reach the pipeline stages only through core.Session
+# (DESIGN.md §6e), which owns every knob's default and the stage order.
+# A command importing a stage package directly grows its own copy of the
+# chain — `flashram analyze` once had one — and its defaults drift from
+# the image Optimize simulates.
+stages=$(grep -rn '"repro/internal/\(cfg\|freq\|model\|transform\|layout\)"' cmd/ || true)
+if [ -n "$stages" ]; then
+    echo "cmd/ imports a pipeline stage package (go through core.Session instead):" >&2
+    echo "$stages" >&2
+    exit 1
+fi
+
 go build -o /tmp/flashram.check ./cmd/flashram
 trap 'rm -f /tmp/flashram.check' EXIT
 

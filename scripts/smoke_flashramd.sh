@@ -25,7 +25,9 @@ url="http://$addr"
 "$tmp/flashramd" -addr "$addr" 2>"$tmp/daemon.log" &
 pid=$!
 # If the daemon dies early, don't hang the loop below.
-trap 'kill "$pid" 2>/dev/null; rm -rf "$tmp"' EXIT
+# kill fails once the drain below has stopped the daemon; under set -e
+# that failure would become the script's exit status.
+trap 'kill "$pid" 2>/dev/null || true; rm -rf "$tmp"' EXIT
 
 ready=0
 for _ in $(seq 1 50); do
