@@ -577,14 +577,13 @@ func BenchmarkTradeoffSweep(b *testing.B) {
 		}
 	})
 	paths := func(b *testing.B, warm bool) {
-		bench := beebs.Get("int_matmult")
+		prog, err := mcc.Compile(beebs.Get("int_matmult").Source, mcc.O2)
+		if err != nil {
+			b.Fatal(err)
+		}
 		for i := 0; i < b.N; i++ {
 			b.StopTimer()
-			newSess := evaluation.NewSession
-			if warm {
-				newSess = evaluation.NewWarmSession
-			}
-			sess, err := newSess(bench, mcc.O2)
+			sess, err := core.NewSession(prog, core.SessionConfig{WarmSolve: warm})
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -616,12 +615,21 @@ func BenchmarkTradeoffSweep(b *testing.B) {
 	b.Run("paths-warm", func(b *testing.B) { paths(b, true) })
 	b.Run("paths-cold", func(b *testing.B) { paths(b, false) })
 	b.Run("per-point", func(b *testing.B) {
-		bench := beebs.Get("int_matmult")
-		solve := func(rspare, xlimit float64) {
-			sess, err := evaluation.NewSession(bench, mcc.O2)
+		src := beebs.Get("int_matmult").Source
+		// Every point pays a compile and a fresh cold session.
+		fresh := func() *core.Session {
+			prog, err := mcc.Compile(src, mcc.O2)
 			if err != nil {
 				b.Fatal(err)
 			}
+			sess, err := core.NewSession(prog, core.SessionConfig{})
+			if err != nil {
+				b.Fatal(err)
+			}
+			return sess
+		}
+		solve := func(rspare, xlimit float64) {
+			sess := fresh()
 			if _, err := sess.Solve(context.Background(), core.SolveSpec{
 				ModelSpec: core.ModelSpec{Rspare: rspare, Xlimit: xlimit, MaxCandidates: 8},
 				Solver:    core.SolverILP,
@@ -630,10 +638,7 @@ func BenchmarkTradeoffSweep(b *testing.B) {
 			}
 		}
 		for i := 0; i < b.N; i++ {
-			sess, err := evaluation.NewSession(bench, mcc.O2)
-			if err != nil {
-				b.Fatal(err)
-			}
+			sess := fresh()
 			spare, err := sess.SpareRAM()
 			if err != nil {
 				b.Fatal(err)

@@ -12,6 +12,7 @@ import (
 	"repro/internal/beebs"
 	"repro/internal/cliutil"
 	"repro/internal/core"
+	"repro/internal/evaluation"
 	"repro/internal/mcc"
 )
 
@@ -52,28 +53,14 @@ objects) and exits 1 if any error-severity diagnostic is found.`)
 		fatal(err)
 	}
 
-	type target struct{ name, source string }
-	var targets []target
-	switch {
-	case *all:
-		for _, b := range beebs.All() {
-			targets = append(targets, target{b.Name, b.Source})
-		}
-	case *benchName != "":
-		b := beebs.Get(*benchName)
+	targets := beebs.All()
+	if !*all {
+		b := program(*benchName, *srcFile)
 		if b == nil {
-			fatal(fmt.Errorf("unknown benchmark %q (use flashram -list)", *benchName))
+			fs.Usage()
+			os.Exit(2)
 		}
-		targets = []target{{b.Name, b.Source}}
-	case *srcFile != "":
-		data, err := os.ReadFile(*srcFile)
-		if err != nil {
-			fatal(err)
-		}
-		targets = []target{{*srcFile, string(data)}}
-	default:
-		fs.Usage()
-		os.Exit(2)
+		targets = []*beebs.Benchmark{b}
 	}
 
 	ctx, stop := cliutil.Context(*timeout)
@@ -83,15 +70,15 @@ objects) and exits 1 if any error-severity diagnostic is found.`)
 	failed := 0
 	var docs []analysis.ResultJSON
 	for _, t := range targets {
-		res, err := analyzeOne(ctx, t.source, optLevel, opts, *baseline, *bounds_)
+		res, err := analyzeOne(ctx, t, optLevel, opts, *baseline, *bounds_)
 		if err != nil {
-			fatal(fmt.Errorf("%s: %w", t.name, err))
+			fatal(fmt.Errorf("%s: %w", t.Name, err))
 		}
 		if *jsonOut {
-			docs = append(docs, analysis.NewResultJSON(t.name, optLevel.String(), res))
+			docs = append(docs, analysis.NewResultJSON(t.Name, optLevel.String(), res))
 		} else {
 			for _, d := range res.Diags {
-				fmt.Printf("%s: %s\n", t.name, d)
+				fmt.Printf("%s: %s\n", t.Name, d)
 			}
 		}
 		nerr := len(res.Errors())
@@ -99,7 +86,7 @@ objects) and exits 1 if any error-severity diagnostic is found.`)
 			failed++
 		}
 		if !*jsonOut && (*verbose || nerr > 0) {
-			fmt.Printf("%s at %v: %s\n", t.name, optLevel, res.Summary())
+			fmt.Printf("%s at %v: %s\n", t.Name, optLevel, res.Summary())
 		}
 	}
 	if *jsonOut {
@@ -116,26 +103,23 @@ objects) and exits 1 if any error-severity diagnostic is found.`)
 	}
 }
 
-// analyzeOne compiles one source and lints it. The placement and the
+// analyzeOne compiles one program and lints it. The placement and the
 // transformed program come from a core.Session's solve and transform
 // stages — the exact image Optimize would simulate — and are then
 // checked with the chosen passes: withBounds appends the energy-bounds
 // pass to the default suite (it is not a default pass, so the pipeline's
 // own verification stays the 5-pass gate); baseline lints the
 // untransformed program instead.
-func analyzeOne(ctx context.Context, source string, level mcc.OptLevel, opts core.Options, baseline, withBounds bool) (*analysis.Result, error) {
+func analyzeOne(ctx context.Context, b *beebs.Benchmark, level mcc.OptLevel, opts core.Options, baseline, withBounds bool) (*analysis.Result, error) {
 	passes := analysis.DefaultPasses()
 	if withBounds {
 		passes = append(passes, bounds.Pass{})
 	}
-	prog, err := mcc.Compile(source, level)
+	sess, err := evaluation.NewSweep(1).Session(b, level)
 	if err != nil {
 		return nil, err
 	}
-	sess, err := core.NewSession(prog, core.SessionConfig{})
-	if err != nil {
-		return nil, err
-	}
+	prog := sess.Program()
 	if baseline {
 		return analysis.Run(&analysis.Context{Prog: prog, Config: sess.LayoutConfig()}, passes...)
 	}

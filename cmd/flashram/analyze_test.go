@@ -41,7 +41,7 @@ func TestAnalyzeLintsTheOptimizedImage(t *testing.T) {
 				if err != nil {
 					t.Fatalf("%s %v: %v", b.Name, lv, err)
 				}
-				got, err := analyzeOne(ctx, b.Source, lv, core.Options{}, false, withBounds)
+				got, err := analyzeOne(ctx, b, lv, core.Options{}, false, withBounds)
 				if err != nil {
 					t.Fatalf("%s %v: %v", b.Name, lv, err)
 				}

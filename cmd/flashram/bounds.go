@@ -11,6 +11,7 @@ import (
 	"repro/internal/beebs"
 	"repro/internal/cliutil"
 	"repro/internal/core"
+	"repro/internal/evaluation"
 	"repro/internal/mcc"
 )
 
@@ -60,11 +61,7 @@ could not bound some loop or call.`)
 	case *all:
 		benches = beebs.All()
 	case *benchName != "":
-		b := beebs.Get(*benchName)
-		if b == nil {
-			fatal(fmt.Errorf("unknown benchmark %q (use flashram -list)", *benchName))
-		}
-		benches = []*beebs.Benchmark{b}
+		benches = []*beebs.Benchmark{program(*benchName, "")}
 	default:
 		fs.Usage()
 		os.Exit(2)
@@ -148,11 +145,7 @@ type boundsRow struct {
 // cell through a shared session, collecting any bracket violations
 // instead of failing fast.
 func boundsCell(ctx context.Context, b *beebs.Benchmark, lv mcc.OptLevel) (*boundsRow, error) {
-	prog, err := mcc.Compile(b.Source, lv)
-	if err != nil {
-		return nil, err
-	}
-	sess, err := core.NewSession(prog, core.SessionConfig{})
+	sess, err := evaluation.NewSweep(1).Session(b, lv)
 	if err != nil {
 		return nil, err
 	}

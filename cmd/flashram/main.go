@@ -102,32 +102,14 @@ func main() {
 		fatal(err)
 	}
 
-	var source, name string
-	switch {
-	case *benchName != "":
-		b := beebs.Get(*benchName)
-		if b == nil {
-			fatal(fmt.Errorf("unknown benchmark %q (use -list)", *benchName))
-		}
-		source, name = b.Source, b.Name
-	case *srcFile != "":
-		data, err := os.ReadFile(*srcFile)
-		if err != nil {
-			fatal(err)
-		}
-		source, name = string(data), *srcFile
-	default:
+	b := program(*benchName, *srcFile)
+	if b == nil {
 		fatal(fmt.Errorf("one of -bench or -src is required"))
-	}
-
-	prog, err := mcc.Compile(source, optLevel)
-	if err != nil {
-		fatal(err)
 	}
 	// One session per invocation: with -profile the frequency estimate
 	// reuses the baseline run the report measures anyway, so the program
 	// is simulated twice (baseline + optimized), not three times.
-	sess, err := core.NewSession(prog, core.SessionConfig{})
+	sess, err := evaluation.NewSweep(1).Session(b, optLevel)
 	if err != nil {
 		fatal(err)
 	}
@@ -160,7 +142,7 @@ func main() {
 		// Exactly the document — and exactly the encoding — the flashramd
 		// service returns for the same request, so `flashram -json` and a
 		// /v1/optimize response are byte-comparable.
-		doc := evaluation.NewRunJSON(&evaluation.Run{Bench: name, Level: optLevel, Report: rep})
+		doc := evaluation.NewRunJSON(&evaluation.Run{Bench: b.Name, Level: optLevel, Report: rep})
 		enc := json.NewEncoder(os.Stdout)
 		enc.SetIndent("", "  ")
 		if err := enc.Encode(doc); err != nil {
@@ -169,7 +151,7 @@ func main() {
 		return
 	}
 
-	fmt.Printf("%s at %v (%s solver)\n", name, optLevel, *solver)
+	fmt.Printf("%s at %v (%s solver)\n", b.Name, optLevel, *solver)
 	fmt.Printf("  baseline : %.4f mJ, %.3f ms, %.2f mW (%d cycles)\n",
 		rep.Baseline.EnergyMJ, 1e3*rep.Baseline.TimeS, rep.Baseline.PowerMW, rep.Baseline.Cycles)
 	fmt.Printf("  optimized: %.4f mJ, %.3f ms, %.2f mW (%d cycles)\n",
@@ -228,6 +210,27 @@ func main() {
 		fmt.Printf("  emitted  : %s (%d bytes), %s (%d bytes of .ramcode, copied at boot)\n",
 			flashFile, flashLen, ramFile, len(ram))
 	}
+}
+
+// program resolves the -bench / -src flags to the program to run: a
+// built-in BEEBS benchmark, or a source file wrapped as one. It returns
+// nil when neither flag is set.
+func program(benchName, srcFile string) *beebs.Benchmark {
+	switch {
+	case benchName != "":
+		b := beebs.Get(benchName)
+		if b == nil {
+			fatal(fmt.Errorf("unknown benchmark %q (use flashram -list)", benchName))
+		}
+		return b
+	case srcFile != "":
+		data, err := os.ReadFile(srcFile)
+		if err != nil {
+			fatal(err)
+		}
+		return &beebs.Benchmark{Name: srcFile, Source: string(data)}
+	}
+	return nil
 }
 
 func fatal(err error) {

@@ -6,7 +6,6 @@ import (
 	"fmt"
 	"os"
 
-	"repro/internal/beebs"
 	"repro/internal/cliutil"
 	"repro/internal/core"
 	"repro/internal/evaluation"
@@ -69,32 +68,14 @@ ILP cost model disagrees with the measured attribution.`)
 		fatal(err)
 	}
 
-	var source, name string
-	switch {
-	case *benchName != "":
-		b := beebs.Get(*benchName)
-		if b == nil {
-			fatal(fmt.Errorf("unknown benchmark %q (use flashram -list)", *benchName))
-		}
-		source, name = b.Source, b.Name
-	case *srcFile != "":
-		data, err := os.ReadFile(*srcFile)
-		if err != nil {
-			fatal(err)
-		}
-		source, name = string(data), *srcFile
-	default:
+	b := program(*benchName, *srcFile)
+	if b == nil {
 		fs.Usage()
 		os.Exit(2)
 	}
-
-	prog, err := mcc.Compile(source, optLevel)
-	if err != nil {
-		fatal(err)
-	}
 	// The traced run comes out of a session so the -profile frequency
 	// estimate shares the baseline simulation with the report itself.
-	sess, err := core.NewSession(prog, core.SessionConfig{})
+	sess, err := evaluation.NewSweep(1).Session(b, optLevel)
 	if err != nil {
 		fatal(err)
 	}
@@ -116,11 +97,11 @@ ILP cost model disagrees with the measured attribution.`)
 	diff := trace.ModelDiff(rep.OptimizedTrace, rep.Model, rep.Placement.InRAM,
 		trace.DiffOptions{OutlierRelErr: *outlier})
 	savers := rep.BlockSavings(*top)
-	run := &evaluation.Run{Bench: name, Level: optLevel, Report: rep}
+	run := &evaluation.Run{Bench: b.Name, Level: optLevel, Report: rep}
 
 	if *asJSON {
 		doc := profileDoc{
-			Bench:     name,
+			Bench:     b.Name,
 			Level:     optLevel.String(),
 			Solver:    *solver,
 			Run:       evaluation.NewRunJSON(run),
@@ -139,7 +120,7 @@ ILP cost model disagrees with the measured attribution.`)
 		return
 	}
 
-	fmt.Printf("%s at %v (%s solver)\n", name, optLevel, *solver)
+	fmt.Printf("%s at %v (%s solver)\n", b.Name, optLevel, *solver)
 	fmt.Printf("  baseline : %.4f mJ, %.3f ms, %.2f mW (%d cycles)\n",
 		rep.Baseline.EnergyMJ, 1e3*rep.Baseline.TimeS, rep.Baseline.PowerMW, rep.Baseline.Cycles)
 	fmt.Printf("  optimized: %.4f mJ, %.3f ms, %.2f mW (%d cycles)\n",

@@ -34,11 +34,12 @@ type Run struct {
 // reusing the sweep's session for the cell (compile, baseline run, CFG,
 // frequency and model stages are shared with every other configuration of
 // the same cell). Errors carry the benchmark × level attribution
-// (errs.Error) on top of the failing stage's own.
+// (errs.Error) on top of the failing stage's own; a session that does
+// not build is also errs.BadInput.
 func (sw *Sweep) RunBenchmark(ctx context.Context, b *beebs.Benchmark, level mcc.OptLevel, opts core.Options) (*Run, error) {
-	sess, err := sw.Session(b, level)
+	sess, err := sw.cellSession(b, level)
 	if err != nil {
-		return nil, errs.AtBench(b.Name, level.String(), errs.Wrap(errs.StageCompile, err))
+		return nil, err
 	}
 	rep, err := sess.Optimize(ctx, opts)
 	if err != nil {
@@ -279,9 +280,9 @@ func (sw *Sweep) Figure6(ctx context.Context, benchName string, level mcc.OptLev
 	if b == nil {
 		return nil, fmt.Errorf("evaluation: unknown benchmark %q", benchName)
 	}
-	sess, err := sw.Session(b, level)
+	sess, err := sw.cellSession(b, level)
 	if err != nil {
-		return nil, errs.AtBench(benchName, level.String(), errs.Wrap(errs.StageCompile, err))
+		return nil, err
 	}
 	spare, err := sess.SpareRAM()
 	if err != nil {

@@ -15,11 +15,11 @@ import (
 )
 
 // Sweep carries the cross-run machinery shared by the experiment
-// drivers: the worker-pool width and a benchmark×level cache of
-// core.Session pipelines, so every experiment run through one Sweep
-// shares compiles, baseline simulations, CFGs, frequency estimates and
-// models instead of redoing them per configuration. The zero value (or
-// NewSweep(1)) runs serially.
+// drivers: the worker-pool width and the core.Store its sessions come
+// from, so every experiment run through one Sweep shares compiles,
+// baseline simulations, CFGs, frequency estimates and models instead of
+// redoing them per configuration. The zero value (or NewSweep(1)) runs
+// serially over a private store.
 //
 // There is deliberately no package-global worker count: parallelism is
 // a property of the Sweep a caller owns, so tests and the CLIs never
@@ -39,14 +39,12 @@ type Sweep struct {
 	// simulated (see SessionStats.PruneChecked/PruneSkipped).
 	Prune bool
 
-	// Cache, when set, backs the sweep's sessions with a cross-request
-	// store: sessions are fetched through (and retained by) it, content-
-	// addressed on core.SessionKey(source, level) rather than scoped to
-	// this Sweep's lifetime. The daemon (internal/service) sets it so
-	// sweep requests and single-shot requests hit one shared memo. The
-	// sweep still tracks its own view of the sessions it touched, so
-	// Stats() reports the same shape either way.
-	Cache core.SessionCache
+	// Store holds the sweep's sessions, content-addressed on
+	// core.SessionKey(source, level), and its ledger is the one Stats and
+	// SolverStats report. Nil means a private unbounded store created on
+	// first use. The daemon (internal/service) sets its bounded
+	// cross-request store, so every request it serves shares one memo.
+	Store *core.Store
 
 	// ColdSolve disables warm-started solves: the sweep's sessions are
 	// built without core.SessionConfig.WarmSolve, so every constraint
@@ -54,18 +52,17 @@ type Sweep struct {
 	// number are identical either way (warm starts only change solver
 	// effort); the flag exists so tests and `tradeoff -cold` can prove
 	// that byte-for-byte and so the warm speedup can be benchmarked
-	// against a true cold baseline. When Cache is set the store owns
-	// session construction and an already-cached warm session may be
-	// returned regardless; the daemon never mixes the two.
+	// against a true cold baseline. A session already in a shared Store
+	// keeps the setting it was built with; the daemon never mixes the
+	// two.
 	ColdSolve bool
 
 	// NoFuse builds the sweep's sessions with superblock fusion disabled
 	// (core.SessionConfig.NoFuse → sim.Machine.NoFuse): every simulated
 	// run dispatches slot-at-a-time. Outputs are byte-identical either
 	// way — the differential tests and `beebsbench -nofuse` exist to
-	// prove exactly that. As with ColdSolve, a Cache-owned session may
-	// have been built with the other setting; the daemon never mixes
-	// the two.
+	// prove exactly that. As with ColdSolve, a session already in a
+	// shared Store keeps its own setting.
 	NoFuse bool
 
 	// Shard restricts the sweep drivers (Figure5, RunAggregate,
@@ -77,85 +74,54 @@ type Sweep struct {
 	// -merge`).
 	Shard Shard
 
-	mu       sync.Mutex
-	sessions map[sessionKey]*sessionEntry
-
-	sessionHits, sessionMisses atomic.Uint64
+	storeOnce sync.Once
 }
 
 // NewSweep returns a Sweep running at most workers jobs concurrently.
 func NewSweep(workers int) *Sweep { return &Sweep{Workers: workers} }
 
-type sessionKey struct {
-	bench string
-	level mcc.OptLevel
-}
-
-type sessionEntry struct {
-	once sync.Once
-	sess *core.Session
-	err  error
-}
-
-// NewSession compiles the benchmark at the given level and wraps the
-// program in a fresh staged pipeline with the default board profile and
-// memory map. Solves are cold: single-shot callers have no constraint
-// sweep to chain warm state across.
-func NewSession(b *beebs.Benchmark, level mcc.OptLevel) (*core.Session, error) {
-	return newSession(b, level, false, false)
-}
-
-// NewWarmSession is NewSession with warm-started solves enabled: solves
-// at neighbouring constraint points reuse each other's optima, bounds
-// and bases (see core.SessionConfig.WarmSolve). The sweep drivers and
-// the daemon build their sessions through it; placements and reported
-// numbers match NewSession's exactly.
-func NewWarmSession(b *beebs.Benchmark, level mcc.OptLevel) (*core.Session, error) {
-	return newSession(b, level, true, false)
-}
-
-func newSession(b *beebs.Benchmark, level mcc.OptLevel, warm, noFuse bool) (*core.Session, error) {
-	prog, err := mcc.Compile(b.Source, level)
-	if err != nil {
-		return nil, err
-	}
-	return core.NewSession(prog, core.SessionConfig{WarmSolve: warm, NoFuse: noFuse})
+// store returns the sweep's session store, creating the private one on
+// first use.
+func (sw *Sweep) store() *core.Store {
+	sw.storeOnce.Do(func() {
+		if sw.Store == nil {
+			sw.Store = core.NewStore(0)
+		}
+	})
+	return sw.Store
 }
 
 // Session returns the sweep's shared pipeline for one benchmark×level
-// cell, compiling it on first use.
+// cell, compiling it on first use (and again after a bounded store
+// evicted it).
 func (sw *Sweep) Session(b *beebs.Benchmark, level mcc.OptLevel) (*core.Session, error) {
-	key := sessionKey{bench: b.Name, level: level}
-	sw.mu.Lock()
-	if sw.sessions == nil {
-		sw.sessions = make(map[sessionKey]*sessionEntry)
-	}
-	e := sw.sessions[key]
-	if e == nil {
-		e = new(sessionEntry)
-		sw.sessions[key] = e
-		sw.sessionMisses.Add(1)
-	} else {
-		sw.sessionHits.Add(1)
-	}
-	sw.mu.Unlock()
-	e.once.Do(func() {
-		build := func() (*core.Session, error) { return newSession(b, level, !sw.ColdSolve, sw.NoFuse) }
-		if sw.Cache != nil {
-			e.sess, e.err = sw.Cache.GetSession(core.SessionKey(b.Source, level.String()), build)
-			return
+	return sw.store().GetSession(core.SessionKey(b.Source, level.String()), func() (*core.Session, error) {
+		prog, err := mcc.Compile(b.Source, level)
+		if err != nil {
+			return nil, err
 		}
-		e.sess, e.err = build()
+		return core.NewSession(prog, core.SessionConfig{WarmSolve: !sw.ColdSolve, NoFuse: sw.NoFuse})
 	})
-	return e.sess, e.err
+}
+
+// cellSession is Session with the failure attributed to the cell's
+// compile stage. A session that does not build is the input's fault
+// (the source does not compile), so it is also errs.BadInput: the
+// daemon answers 400 for it on every endpoint.
+func (sw *Sweep) cellSession(b *beebs.Benchmark, level mcc.OptLevel) (*core.Session, error) {
+	sess, err := sw.Session(b, level)
+	if err != nil {
+		return nil, errs.BadInput(errs.AtBench(b.Name, level.String(), errs.Wrap(errs.StageCompile, err)))
+	}
+	return sess, nil
 }
 
 // SweepStats reports how much pipeline work a Sweep reused: the session
 // (compile) cache, the per-stage counters aggregated over every session
-// the sweep touched, and the cumulative totals across both layers. It is
-// also the `session_stats` ledger schema shared by `beebsbench -json`
-// and the daemon's /statsz, so sweep-local and cross-request reuse read
-// the same way.
+// the store holds or held, and the cumulative totals across both layers.
+// It is also the `session_stats` ledger schema shared by `beebsbench
+// -json` and the daemon's /statsz, so sweep-local and cross-request
+// reuse read the same way.
 type SweepStats struct {
 	SessionHits   uint64            `json:"session_hits"`
 	SessionMisses uint64            `json:"session_misses"`
@@ -178,41 +144,17 @@ func NewSweepStats(sessionHits, sessionMisses uint64, stages core.SessionStats) 
 	}
 }
 
-// Stats snapshots the sweep's reuse counters.
+// Stats snapshots the reuse ledger of the sweep's store.
 func (sw *Sweep) Stats() SweepStats {
-	sw.mu.Lock()
-	entries := make([]*sessionEntry, 0, len(sw.sessions))
-	for _, e := range sw.sessions {
-		entries = append(entries, e)
-	}
-	sw.mu.Unlock()
-	var stages core.SessionStats
-	for _, e := range entries {
-		if e.sess != nil {
-			stages.Add(e.sess.Stats())
-		}
-	}
-	return NewSweepStats(sw.sessionHits.Load(), sw.sessionMisses.Load(), stages)
+	st := sw.store()
+	cs := st.CacheStats()
+	return NewSweepStats(cs.Hits, cs.Misses, st.StageStats())
 }
 
-// SolverStats aggregates the warm-start solver counters over every
-// session the sweep touched — the `solver_stats` ledger emitted by
-// `beebsbench -json` and the daemon's /statsz.
-func (sw *Sweep) SolverStats() core.SolverStats {
-	sw.mu.Lock()
-	entries := make([]*sessionEntry, 0, len(sw.sessions))
-	for _, e := range sw.sessions {
-		entries = append(entries, e)
-	}
-	sw.mu.Unlock()
-	var out core.SolverStats
-	for _, e := range entries {
-		if e.sess != nil {
-			out.Add(e.sess.SolverStats())
-		}
-	}
-	return out
-}
+// SolverStats aggregates the warm-start solver counters over the
+// sweep's store — the `solver_stats` ledger emitted by `beebsbench
+// -json` and the daemon's /statsz.
+func (sw *Sweep) SolverStats() core.SolverStats { return sw.store().SolverStats() }
 
 // Isolated runs fn with the sweep workers' panic isolation: a panic is
 // converted into an *errs.PanicError carrying the goroutine's stack, so

@@ -56,9 +56,9 @@ func (sw *Sweep) BestConfig(ctx context.Context, b *beebs.Benchmark, level mcc.O
 	if len(cands) == 0 {
 		return nil, fmt.Errorf("evaluation: BestConfig needs at least one candidate")
 	}
-	sess, err := sw.Session(b, level)
+	sess, err := sw.cellSession(b, level)
 	if err != nil {
-		return nil, errs.AtBench(b.Name, level.String(), errs.Wrap(errs.StageCompile, err))
+		return nil, err
 	}
 	best := &Best{Bench: b.Name, Level: level}
 	incumbent := 0.0

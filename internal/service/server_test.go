@@ -78,9 +78,9 @@ func TestOptimizeEndpoint(t *testing.T) {
 	}
 
 	// CLI identity: the exact bytes `flashram -json` would emit for the
-	// same request — same document, same encoder settings.
+	// same request — same session path, document and encoder settings.
 	b := beebs.Get("crc32")
-	sess, err := evaluation.NewSession(b, mcc.O2)
+	sess, err := evaluation.NewSweep(1).Session(b, mcc.O2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -446,6 +446,38 @@ func TestSweepRejectsBadCellUpfront(t *testing.T) {
 	}
 	if !strings.Contains(string(body), "cell 1") {
 		t.Fatalf("error does not attribute the bad cell: %s", body)
+	}
+}
+
+// TestSweepUncompilableCellIs400: a cell whose source does not compile
+// passes request validation, so it fails inside the sweep. Its row must
+// carry the same 400 /v1/optimize answers for it, and the ledger must
+// count the sweep as a client error, not a server fault.
+func TestSweepUncompilableCellIs400(t *testing.T) {
+	srv, ts := newTestServer(t)
+	status, body := postJSON(t, ts.URL+"/v1/sweep", SweepRequest{Cells: []OptimizeRequest{
+		{Bench: "crc32"},
+		{Source: "int main( {"},
+	}})
+	if status != http.StatusOK {
+		t.Fatalf("status = %d, want 200 (per-row failures): %s", status, body)
+	}
+	var rows []sweepRow
+	for _, line := range bytes.Split(bytes.TrimSpace(body), []byte("\n")) {
+		var row sweepRow
+		if err := json.Unmarshal(line, &row); err != nil {
+			t.Fatalf("bad NDJSON line %q: %v", line, err)
+		}
+		rows = append(rows, row)
+	}
+	if len(rows) != 2 || rows[0].Run == nil || rows[1].Run != nil {
+		t.Fatalf("rows = %+v", rows)
+	}
+	if rows[1].Status != http.StatusBadRequest || !strings.Contains(rows[1].Error, "source at O2: compile: ") {
+		t.Fatalf("uncompilable cell row = %+v, want status 400 attributed to source at O2, compile stage", rows[1])
+	}
+	if req := srv.Stats().Requests; req.ClientError != 1 || req.ServerError != 0 {
+		t.Fatalf("request ledger = %+v, want the sweep counted as one client error", req)
 	}
 }
 

@@ -1,3 +1,20 @@
+// Package service is the placement-as-a-service subsystem: a
+// long-running HTTP/JSON daemon (cmd/flashramd) wrapping core.Session,
+// with a content-addressed artifact store shared across requests and
+// tenants, an admission/worker layer reusing the evaluation sweep's
+// panic isolation, and a load-test harness that publishes the
+// hit-rate/latency ledger EXPERIMENTS.md records.
+//
+// The cache architecture is two-level. The outer level — a bounded
+// core.Store — content-addresses whole Sessions on
+// core.SessionKey(source, level): a hash of the inputs that reach the
+// compiler. The inner level is the Session's own per-stage memos, keyed
+// on exactly the knobs that reach each stage (placement, budgets,
+// tracing). A request's effective stage key is therefore (program hash,
+// stage knobs), so identical stage inputs from different requests,
+// connections, or tenants land on one shared computation. Every request
+// runs its cells through one evaluation.Sweep over that store — the
+// same code path the sweep CLIs and `flashram -json` take.
 package service
 
 import (
@@ -17,6 +34,13 @@ import (
 	"repro/internal/mcc"
 	"repro/internal/sim"
 )
+
+// DefaultMaxSessions bounds the store when the configuration leaves it
+// zero. Sessions retain compiled programs, baseline simulations and
+// solved placements; ~64 programs is a few hundred MB worst-case on the
+// BEEBS-sized inputs the daemon serves, and the LRU keeps the working
+// set hot under churn.
+const DefaultMaxSessions = 64
 
 // Config fixes a Server's invariants.
 type Config struct {
@@ -51,12 +75,18 @@ func (c *Config) fill() {
 	}
 }
 
-// Server is the placement service: the cross-request store, the
-// admission gate, and the request ledger behind /statsz. Build one with
-// New and serve its Handler.
+// Server is the placement service: the sweep over the cross-request
+// store, the admission gate, and the request ledger behind /statsz.
+// Build one with New and serve its Handler.
 type Server struct {
-	cfg   Config
-	store *Store
+	cfg Config
+	// sweep runs every request's cells: its sessions come from — and
+	// stay in — its bounded cross-request Store, and its pool is the
+	// sweep request's worker pool. The daemon's sessions solve warm:
+	// requests at neighbouring constraints (a client walking a
+	// trade-off curve) reuse each other's solve state, and the emitted
+	// documents are identical either way.
+	sweep *evaluation.Sweep
 	sem   chan struct{}
 	start time.Time
 
@@ -75,15 +105,11 @@ func New(cfg Config) *Server {
 	cfg.fill()
 	return &Server{
 		cfg:   cfg,
-		store: NewStore(cfg.MaxSessions),
+		sweep: &evaluation.Sweep{Workers: cfg.Workers, Store: core.NewStore(cfg.MaxSessions)},
 		sem:   make(chan struct{}, cfg.Workers),
 		start: time.Now(),
 	}
 }
-
-// Store exposes the server's cross-request session store (the loadtest
-// harness reads its ledger directly when running in-process).
-func (s *Server) Store() *Store { return s.store }
 
 // StartDrain flips the server into drain mode: /healthz reports 503 so
 // load balancers stop routing here, and new optimization requests are
@@ -312,7 +338,11 @@ func (s *Server) handleOptimize(w http.ResponseWriter, r *http.Request) {
 	}
 	defer s.release()
 
-	run, err := s.runCell(ctx, cell)
+	var run *evaluation.Run
+	err = evaluation.Isolated(func() (err error) {
+		run, err = s.sweep.RunBenchmark(ctx, cell.Bench, cell.Level, cell.Opts)
+		return err
+	})
 	if err != nil {
 		s.writeError(w, err)
 		return
@@ -368,38 +398,6 @@ func etagMatches(header, etag string) bool {
 	return false
 }
 
-// runCell executes one pipeline run against the shared store, under the
-// sweep workers' panic isolation: a panicking request costs one 500,
-// never the process.
-func (s *Server) runCell(ctx context.Context, cell evaluation.Cell) (*evaluation.Run, error) {
-	var run *evaluation.Run
-	err := evaluation.Isolated(func() error {
-		// The daemon's sessions solve warm: requests at neighbouring
-		// constraints (a client walking a trade-off curve) reuse each
-		// other's solve state, and the emitted documents are identical
-		// either way.
-		sess, err := s.store.GetSession(
-			core.SessionKey(cell.Bench.Source, cell.Level.String()),
-			func() (*core.Session, error) { return evaluation.NewWarmSession(cell.Bench, cell.Level) })
-		if err != nil {
-			// The session build is compile + verify: its failures are
-			// request-shaped (the source does not compile), not server
-			// faults.
-			return errs.BadInput(err)
-		}
-		rep, err := sess.Optimize(ctx, cell.Opts)
-		if err != nil {
-			return err
-		}
-		run = &evaluation.Run{Bench: cell.Bench.Name, Level: cell.Level, Report: rep}
-		return nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	return run, nil
-}
-
 func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 	s.requests.total.Add(1)
 	s.requests.inFlight.Add(1)
@@ -431,15 +429,13 @@ func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 	defer cancel()
 
 	// One admission slot per sweep request; the cells then fan out over
-	// the sweep's own bounded pool, whose sessions come from — and stay
-	// in — the cross-request store.
+	// the server sweep's bounded pool.
 	if err := s.admit(ctx); err != nil {
 		s.writeError(w, err)
 		return
 	}
 	defer s.release()
 
-	sw := &evaluation.Sweep{Workers: s.cfg.Workers, Cache: s.store}
 	w.Header().Set("Content-Type", "application/x-ndjson")
 	w.WriteHeader(http.StatusOK)
 	flusher, _ := w.(http.Flusher)
@@ -454,14 +450,14 @@ func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 	}
 	results := make(chan doneMsg)
 	go func() {
-		sw.RunCells(ctx, cells, func(i int, run *evaluation.Run, err error) {
+		s.sweep.RunCells(ctx, cells, func(i int, run *evaluation.Run, err error) {
 			results <- doneMsg{i: i, run: run, err: err}
 		})
 		close(results)
 	}()
 	pending := make(map[int]doneMsg, len(cells))
 	next := 0
-	failures := 0
+	worst := http.StatusOK
 	for msg := range results {
 		pending[msg.i] = msg
 		for {
@@ -472,9 +468,9 @@ func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 			delete(pending, next)
 			row := sweepRow{Index: m.i}
 			if m.err != nil {
-				failures++
 				row.Error = m.err.Error()
 				row.Status = errs.HTTPStatus(m.err)
+				worst = max(worst, row.Status)
 			} else {
 				doc := evaluation.NewRunJSON(m.run)
 				row.Run = &doc
@@ -491,12 +487,10 @@ func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 		}
 	}
 	// The stream already committed a 200 header; the per-row statuses
-	// carry the failures. The ledger still records how the sweep went.
-	if failures == 0 {
-		s.countStatus(http.StatusOK)
-	} else {
-		s.countStatus(http.StatusInternalServerError)
-	}
+	// carry the failures. The ledger records the sweep under its worst
+	// row, so a sweep whose only failures are bad cells counts as a
+	// client error, not a server fault.
+	s.countStatus(worst)
 }
 
 func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
@@ -548,7 +542,8 @@ type RequestStats struct {
 
 // Stats snapshots the server's ledger (the /statsz document).
 func (s *Server) Stats() StatsDoc {
-	cs := s.store.CacheStats()
+	store := s.sweep.Store
+	cs := store.CacheStats()
 	return StatsDoc{
 		UptimeMS: float64(time.Since(s.start).Microseconds()) / 1e3,
 		Workers:  s.cfg.Workers,
@@ -565,8 +560,8 @@ func (s *Server) Stats() StatsDoc {
 			NotModified: s.requests.notModified.Load(),
 		},
 		Store:        cs,
-		SessionStats: evaluation.NewSweepStats(cs.Hits, cs.Misses, s.store.StageStats()),
-		SolverStats:  s.store.SolverStats(),
+		SessionStats: evaluation.NewSweepStats(cs.Hits, cs.Misses, store.StageStats()),
+		SolverStats:  store.SolverStats(),
 	}
 }
 

@@ -10,9 +10,12 @@ import (
 
 	"repro/internal/beebs"
 	"repro/internal/core"
-	"repro/internal/evaluation"
 	"repro/internal/mcc"
 )
+
+// These tests pin the core.Store contract the daemon relies on under its
+// session bound: single flight, LRU eviction, a cumulative ledger, and
+// failed builds that are retried rather than retained.
 
 // buildSession compiles a real (tiny) benchmark session — store tests
 // exercise the same artifact type production uses.
@@ -22,11 +25,17 @@ func buildSession(t *testing.T, bench string) func() (*core.Session, error) {
 	if b == nil {
 		t.Fatalf("benchmark %q missing", bench)
 	}
-	return func() (*core.Session, error) { return evaluation.NewSession(b, mcc.O2) }
+	return func() (*core.Session, error) {
+		prog, err := mcc.Compile(b.Source, mcc.O2)
+		if err != nil {
+			return nil, err
+		}
+		return core.NewSession(prog, core.SessionConfig{})
+	}
 }
 
 func TestStoreSingleFlight(t *testing.T) {
-	s := NewStore(8)
+	s := core.NewStore(8)
 	var builds atomic.Int32
 	inner := buildSession(t, "crc32")
 	build := func() (*core.Session, error) {
@@ -66,7 +75,7 @@ func TestStoreSingleFlight(t *testing.T) {
 }
 
 func TestStoreLRUEviction(t *testing.T) {
-	s := NewStore(2)
+	s := core.NewStore(2)
 	get := func(key string) {
 		t.Helper()
 		if _, err := s.GetSession(key, buildSession(t, "crc32")); err != nil {
@@ -100,7 +109,7 @@ func TestStoreLRUEviction(t *testing.T) {
 // TestStoreEvictionKeepsCumulativeStats: evicting a session must fold
 // its stage counters into the retained ledger, not lose them.
 func TestStoreEvictionKeepsCumulativeStats(t *testing.T) {
-	s := NewStore(1)
+	s := core.NewStore(1)
 	sess, err := s.GetSession("a", buildSession(t, "crc32"))
 	if err != nil {
 		t.Fatal(err)
@@ -122,7 +131,7 @@ func TestStoreEvictionKeepsCumulativeStats(t *testing.T) {
 }
 
 func TestStoreFailedBuildNotRetained(t *testing.T) {
-	s := NewStore(4)
+	s := core.NewStore(4)
 	boom := errors.New("boom")
 	var builds int
 	_, err := s.GetSession("k", func() (*core.Session, error) {
@@ -153,7 +162,7 @@ func TestStoreFailedBuildNotRetained(t *testing.T) {
 // capacity pressure: an entry mid-build is not an eviction candidate,
 // so a concurrent identical request can never start a second build.
 func TestStoreNeverEvictsInFlight(t *testing.T) {
-	s := NewStore(1)
+	s := core.NewStore(1)
 	release := make(chan struct{})
 	started := make(chan struct{})
 	var wg sync.WaitGroup

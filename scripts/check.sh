@@ -3,6 +3,7 @@
 #
 #   gofmt -l            all Go sources formatted
 #   go vet ./...        no vet complaints
+#   one session path    no core.NewSession / mcc.Compile in front ends
 #   flashram analyze    static analysis suite clean on every BEEBS
 #                       benchmark and on the examples/kernels sources,
 #                       at both paper levels (O2, Os)
@@ -103,6 +104,21 @@ stages=$(grep -rn '"repro/internal/\(cfg\|freq\|model\|transform\|layout\)"' cmd
 if [ -n "$stages" ]; then
     echo "cmd/ imports a pipeline stage package (go through core.Session instead):" >&2
     echo "$stages" >&2
+    exit 1
+fi
+
+# Every front end gets its sessions from a core.Store through
+# evaluation.Sweep (DESIGN.md §6i), so `flashram -json` and the daemon's
+# /v1/optimize are one code path. A command or service file compiling
+# and wrapping a program itself grows a second session path — flashram
+# and the daemon each once had one. (perfbench/ is a separate module
+# that replays the pipeline stage by stage; it is not scanned.)
+sessions=$(grep -rn --include='*.go' 'core\.NewSession(\|mcc\.Compile(' cmd internal \
+    | grep -v '_test.go:' \
+    | grep -v '^internal/\(core\|evaluation\|mcc\)/' || true)
+if [ -n "$sessions" ]; then
+    echo "a front end builds its own session (use evaluation.Sweep.Session instead):" >&2
+    echo "$sessions" >&2
     exit 1
 fi
 
