@@ -39,13 +39,10 @@ const (
 	SolverExhaustive Solver = "exhaustive" // true optimum over the hottest blocks
 )
 
-// Options configures a pipeline run. The zero value means: STM32F100
-// profile, default memory map, Rspare derived statically from the data
-// and stack budget, Xlimit 2.0, static frequency estimate, ILP solver.
+// Options configures a pipeline run on a Session's board and memory
+// map. The zero value means: Rspare derived statically from the data and
+// stack budget, Xlimit 2.0, static frequency estimate, ILP solver.
 type Options struct {
-	Profile *power.Profile
-	Layout  layout.Config
-
 	// Rspare caps RAM used for code, in bytes. 0 derives it statically
 	// (RAM − data − stack reserve), as §4.1 suggests.
 	Rspare float64
@@ -57,10 +54,6 @@ type Options struct {
 	UseProfile bool
 	// Solver picks the placement algorithm ("" = ILP).
 	Solver Solver
-	// MaxCandidates caps ILP branching variables (0 = model default).
-	MaxCandidates int
-	// ExhaustiveK bounds the exhaustive solver's block set (0 = 12).
-	ExhaustiveK int
 	// LinkTime enables the paper's §8 future-work mode: the optimizer
 	// sees library code (soft-float runtime) and may place it in RAM,
 	// as if the pass ran in the linker with a full view of the program.
@@ -211,7 +204,7 @@ func (c *IntermittentComparison) WorkPerMJChange() float64 {
 // baseline simulation, CFG, frequency and model stages are shared across
 // configurations.
 func Optimize(p *ir.Program, opts Options) (*Report, error) {
-	s, err := NewSession(p, SessionConfig{Profile: opts.Profile, Layout: opts.Layout})
+	s, err := NewSession(p, SessionConfig{})
 	if err != nil {
 		return nil, err
 	}

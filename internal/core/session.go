@@ -78,22 +78,15 @@ type Session struct {
 	solves     memo[solveKey, *placement.Result]
 	transforms memo[transformKey, *Transformed]
 	reports    memo[reportKey, *Report]
-	// intermits memoizes trace-driven runs per (image, trace, interval):
-	// the zero transform key is the baseline image, so an oblivious and
-	// an aware configuration that test the same image under the same
-	// schedule replay it once.
-	intermits memo[intermitKey, *sim.IntermittentReport]
 	// brackets memoizes the static energy/cycle bounds per placed image;
 	// the zero key is the all-in-flash baseline image.
 	brackets memo[transformKey, *bounds.Result]
 }
 
-// SessionConfig fixes the per-session invariants. Zero values mean the
-// pipeline defaults (STM32F100 profile, default memory map); NewSession
-// is the one place they are applied.
+// SessionConfig fixes the per-session solver and simulator modes. The
+// board (the paper's STM32F100 profile) and the memory map
+// (layout.DefaultConfig) are not configurable: NewSession fixes them.
 type SessionConfig struct {
-	Profile *power.Profile
-	Layout  layout.Config
 	// WarmSolve enables the warm-start registry: an ILP solve consults
 	// the completed solve at a neighboring Rspare/Xlimit point and reuses
 	// its incumbent, bound and simplex basis. The placement and every
@@ -118,16 +111,11 @@ type SessionConfig struct {
 // pipeline. The program must not be mutated afterwards; every transform
 // the Session performs works on a clone.
 func NewSession(p *ir.Program, cfg SessionConfig) (*Session, error) {
-	if cfg.Profile == nil {
-		cfg.Profile = power.STM32F100()
-	}
-	if cfg.Layout == (layout.Config{}) {
-		cfg.Layout = layout.DefaultConfig()
-	}
 	if err := ir.Verify(p); err != nil {
 		return nil, errs.Wrap(errs.StageVerify, err)
 	}
-	return &Session{prog: p, profile: cfg.Profile, layout: cfg.Layout, warmSolve: cfg.WarmSolve, noFuse: cfg.NoFuse}, nil
+	return &Session{prog: p, profile: power.STM32F100(), layout: layout.DefaultConfig(),
+		warmSolve: cfg.WarmSolve, noFuse: cfg.NoFuse}, nil
 }
 
 // Program returns the session's (immutable) input program.
@@ -173,13 +161,18 @@ func (s *Session) LayoutConfig() layout.Config { return s.layout }
 
 // runKey identifies one simulated run: the image — the session program
 // laid out under image.placement, or with optimized set the transformed
-// program of transform key image — the instruction limit, and whether
-// the energy-attribution collector was attached.
+// program of transform key image — the instruction limit, whether the
+// energy-attribution collector was attached, and for a harvested-power
+// replay its resolved schedule. replay is explicit because an empty
+// schedule (no outages, periodic checkpoints only) is still a replay.
 type runKey struct {
-	image     transformKey
-	optimized bool
-	traced    bool
-	maxInstrs uint64
+	image      transformKey
+	optimized  bool
+	traced     bool
+	maxInstrs  uint64
+	replay     bool
+	trace      string
+	ckptCycles uint64
 }
 
 // freqKey identifies a frequency estimate: the static estimate has one
@@ -207,10 +200,9 @@ type modelKey struct {
 // The budget is part of the key: a budget-degraded placement must never
 // be served to a caller that asked for the exact solve, and vice versa.
 type solveKey struct {
-	model       modelKey
-	solver      Solver
-	exhaustiveK int
-	budget      placement.Budget
+	model  modelKey
+	solver Solver
+	budget placement.Budget
 }
 
 // reportKey identifies a full Optimize outcome: the solve plus the
@@ -248,16 +240,6 @@ type transformKey struct {
 	rspare    float64
 }
 
-// intermitKey identifies one trace-driven run: the image (zero transform
-// key = the all-in-flash baseline), the canonical trace text, the
-// checkpoint interval and the instruction limit.
-type intermitKey struct {
-	transform  transformKey
-	trace      string
-	ckptCycles uint64
-	maxInstrs  uint64
-}
-
 func canonicalPlacement(inRAM map[string]bool) string {
 	if len(inRAM) == 0 {
 		return ""
@@ -275,7 +257,7 @@ func canonicalPlacement(inRAM map[string]bool) string {
 // resolve validates Options and normalizes them into stage keys. Each
 // default is applied once, by the function that owns it: SpareRAM
 // derives Rspare here, resolveModel fills Xlimit and MaxCandidates,
-// resolveSolve fills Solver and ExhaustiveK — so Options{} and its
+// resolveSolve fills Solver — so Options{} and its
 // explicit spelling hit the same memo slots, and so do Model and Solve
 // calls that spell the same configuration. With PowerTrace set,
 // resolution includes the baseline run (memoized — it is the trace
@@ -284,12 +266,6 @@ func canonicalPlacement(inRAM map[string]bool) string {
 func (s *Session) resolve(ctx context.Context, opts Options) (reportKey, error) {
 	if err := opts.Validate(); err != nil {
 		return reportKey{}, err
-	}
-	if opts.Profile != nil && opts.Profile != s.profile {
-		return reportKey{}, fmt.Errorf("core: session profile mismatch (build a new Session for a different board)")
-	}
-	if opts.Layout != (layout.Config{}) && opts.Layout != s.layout {
-		return reportKey{}, fmt.Errorf("core: session layout mismatch (build a new Session for a different memory map)")
 	}
 	rspare := opts.Rspare
 	if rspare == 0 {
@@ -309,13 +285,11 @@ func (s *Session) resolve(ctx context.Context, opts Options) (reportKey, error) 
 				UseProfile:    opts.UseProfile,
 				Rspare:        rspare,
 				Xlimit:        opts.Xlimit,
-				MaxCandidates: opts.MaxCandidates,
 				LinkTime:      opts.LinkTime,
 				MaxInstrs:     opts.MaxInstrs,
 				CkptNJPerByte: ckptNJ,
 			},
-			Solver:      opts.Solver,
-			ExhaustiveK: opts.ExhaustiveK,
+			Solver: opts.Solver,
 			Budget: placement.Budget{
 				MaxNodes:  opts.SolveMaxNodes,
 				MaxLPIter: opts.SolveMaxLPIter,
@@ -410,6 +384,9 @@ type Measurement struct {
 	// Trace is the per-block energy attribution (nil unless the run was
 	// requested with tracing).
 	Trace *trace.Profile
+	// Intermittent is the harvested-power replay's report (nil unless
+	// the run replayed a power trace); Stats then points at its Stats.
+	Intermittent *sim.IntermittentReport
 
 	globals map[string][]byte
 }
@@ -433,16 +410,22 @@ func (s *Session) placedImage(inRAM map[string]bool) (*layout.Image, error) {
 	return img, nil
 }
 
-// run is the simulation stage behind Measure and the optimized run of
-// Optimize: acquire a machine for the image, attach the collector when
-// traced, run, check trace conservation and snapshot the writable
-// globals. Untransformed images count under SessionStats.Baseline,
-// transformed ones under OptRun. A completed traced run serves untraced
-// requests for the same image: the observer is passive, so the
-// statistics and final memory state are identical.
+// run is the one simulation stage, behind Measure and the optimized and
+// harvested-power runs of Optimize: acquire a machine for the image,
+// attach the collector when traced, run — continuously, or replaying the
+// key's power trace — check trace conservation and snapshot the writable
+// globals. Continuous runs of untransformed images count under
+// SessionStats.Baseline, of transformed ones under OptRun; replays count
+// under neither (only in SimRuns and CyclesSimulated), so the ledger
+// schema is the same with and without a power trace. A completed traced
+// run serves untraced requests for the same image: the observer is
+// passive, so the statistics and final memory state are identical.
 func (s *Session) run(ctx context.Context, key runKey, image func() (*layout.Image, error)) (*Measurement, error) {
 	counter, stage := &s.counters.baseline, errs.StageBaseline
-	if key.optimized {
+	switch {
+	case key.replay:
+		counter, stage = &s.counters.intermit, errs.StageIntermittent
+	case key.optimized:
 		counter, stage = &s.counters.optrun, errs.StageOptRun
 	}
 	if !key.traced {
@@ -466,17 +449,27 @@ func (s *Session) run(ctx context.Context, key runKey, image func() (*layout.Ima
 			col = trace.NewCollector()
 			machine.Attach(col)
 		}
-		stats, err := machine.RunContext(ctx)
+		var stats *sim.Stats
+		var rep *sim.IntermittentReport
+		if key.replay {
+			rep, err = replay(ctx, machine, key)
+			if rep != nil {
+				stats = &rep.Stats
+			}
+		} else {
+			stats, err = machine.RunContext(ctx)
+		}
 		if err != nil {
 			return nil, errs.Wrap(stage, err)
 		}
 		s.counters.simRuns.Add(1)
 		s.counters.cyclesSimulated.Add(stats.Cycles)
 		m := &Measurement{
-			Image:   img,
-			Stats:   stats,
-			Metrics: metrics(machine, stats, img),
-			globals: snapshotGlobals(s.prog, machine),
+			Image:        img,
+			Stats:        stats,
+			Metrics:      metrics(machine, stats, img),
+			Intermittent: rep,
+			globals:      snapshotGlobals(s.prog, machine),
 		}
 		if col != nil {
 			m.Trace = col.Profile()
@@ -489,6 +482,21 @@ func (s *Session) run(ctx context.Context, key runKey, image func() (*layout.Ima
 		}
 		return m, nil
 	})
+}
+
+// replay runs m through the key's power trace. The trace is re-parsed
+// from its canonical text so the stage depends on nothing but its key;
+// parsing the canonical form cannot fail for keys produced by
+// resolveIntermittent, but the error path keeps the invariant visible.
+func replay(ctx context.Context, m *sim.Machine, key runKey) (*sim.IntermittentReport, error) {
+	var tr *sim.PowerTrace
+	if key.trace != "" {
+		var err error
+		if tr, err = sim.ParsePowerTrace([]byte(key.trace)); err != nil {
+			return nil, err
+		}
+	}
+	return m.RunIntermittent(ctx, sim.IntermittentConfig{Trace: tr, CheckpointCycles: key.ckptCycles})
 }
 
 // Baseline is the all-in-flash Measure with the default instruction
@@ -588,8 +596,6 @@ func (s *Session) model(ctx context.Context, key modelKey) (*model.Model, error)
 type SolveSpec struct {
 	ModelSpec
 	Solver Solver
-	// ExhaustiveK bounds the exhaustive solver's block set (0 = 12).
-	ExhaustiveK int
 	// Budget bounds the ILP solve; when any of its limits trips, the
 	// degradation ladder (placement.SolveLadder) steps down and the
 	// result's Strategy records the rung. The zero budget is the exact
@@ -602,21 +608,21 @@ func (s *Session) Solve(ctx context.Context, spec SolveSpec) (*placement.Result,
 	return s.solve(ctx, resolveSolve(spec))
 }
 
-// resolveSolve is the one place Solver and ExhaustiveK default.
+// resolveSolve is the one place Solver defaults.
 func resolveSolve(spec SolveSpec) solveKey {
 	if spec.Solver == "" {
 		spec.Solver = SolverILP
 	}
-	if spec.ExhaustiveK == 0 {
-		spec.ExhaustiveK = 12
-	}
 	return solveKey{
-		model:       resolveModel(spec.ModelSpec),
-		solver:      spec.Solver,
-		exhaustiveK: spec.ExhaustiveK,
-		budget:      spec.Budget,
+		model:  resolveModel(spec.ModelSpec),
+		solver: spec.Solver,
+		budget: spec.Budget,
 	}
 }
+
+// exhaustiveK is the size of the hottest-block set SolverExhaustive
+// enumerates: 2^12 placements, each one model evaluation.
+const exhaustiveK = 12
 
 func (s *Session) solve(ctx context.Context, key solveKey) (*placement.Result, error) {
 	return s.solves.do(&s.counters.solve, key, func() (*placement.Result, error) {
@@ -644,7 +650,7 @@ func (s *Session) solve(ctx context.Context, key solveKey) (*placement.Result, e
 		case SolverFunction:
 			res = placement.SolveFunctionLevel(mdl, s.prog)
 		case SolverExhaustive:
-			res, err = placement.SolveExhaustive(mdl, key.exhaustiveK)
+			res, err = placement.SolveExhaustive(mdl, exhaustiveK)
 		default:
 			return nil, fmt.Errorf("core: unknown solver %q", key.solver)
 		}
@@ -659,10 +665,9 @@ func (s *Session) solve(ctx context.Context, key solveKey) (*placement.Result, e
 // constraint bounds — the model columns and objective are identical
 // across a family, which is exactly the precondition for warm reuse.
 type solveFamily struct {
-	model       modelKey // rspare and xlimit zeroed
-	solver      Solver
-	exhaustiveK int
-	budget      placement.Budget
+	model  modelKey // rspare and xlimit zeroed
+	solver Solver
+	budget placement.Budget
 }
 
 // solvePoint is one completed proven solve within a family.
@@ -674,7 +679,7 @@ type solvePoint struct {
 func familyOf(key solveKey) solveFamily {
 	mk := key.model
 	mk.rspare, mk.xlimit = 0, 0
-	return solveFamily{model: mk, solver: key.solver, exhaustiveK: key.exhaustiveK, budget: key.budget}
+	return solveFamily{model: mk, solver: key.solver, budget: key.budget}
 }
 
 // neighborWarm picks the carried state for a solve: the nearest
@@ -849,38 +854,6 @@ func (tf *Transformed) verified() error {
 	return nil
 }
 
-// intermittentRun replays the key's power trace against one image,
-// memoized on the image's placement and the schedule. The trace is
-// re-parsed from its canonical text so the stage depends on nothing but
-// its key; parsing the canonical form cannot fail for keys produced by
-// resolveIntermittent, but a defensive error path keeps the invariant
-// visible.
-func (s *Session) intermittentRun(ctx context.Context, key intermitKey, img *layout.Image) (*sim.IntermittentReport, error) {
-	return s.intermits.do(&s.counters.intermit, key, func() (*sim.IntermittentReport, error) {
-		tr := &sim.PowerTrace{}
-		if key.trace != "" {
-			var err error
-			tr, err = sim.ParsePowerTrace([]byte(key.trace))
-			if err != nil {
-				return nil, errs.Wrap(errs.StageIntermittent, err)
-			}
-		}
-		machine := s.acquireMachine(img)
-		defer s.releaseMachine(machine)
-		machine.MaxInstrs = key.maxInstrs
-		rep, err := machine.RunIntermittent(ctx, sim.IntermittentConfig{
-			Trace:            tr,
-			CheckpointCycles: key.ckptCycles,
-		})
-		if err != nil {
-			return nil, errs.Wrap(errs.StageIntermittent, err)
-		}
-		s.counters.simRuns.Add(1)
-		s.counters.cyclesSimulated.Add(rep.Stats.Cycles)
-		return rep, nil
-	})
-}
-
 // boundsFor brackets (once per placement) the placed image's energy and
 // cycles without simulating it. The zero key is the all-in-flash
 // baseline. Structure (CFG, loops, calls) always comes from the pristine
@@ -929,23 +902,25 @@ func (s *Session) StaticBounds(ctx context.Context, opts Options) (*bounds.Resul
 	return s.boundsFor(tf.key, func() (*layout.Image, error) { return tf.Image, nil })
 }
 
-// PruneAgainst decides admissible pruning for one configuration: true
-// when its static lower energy bound already exceeds incumbentNJ (the
-// simulated optimized energy, in nanojoules, of the best configuration
-// seen so far), so simulating the cell provably cannot produce a new
-// winner. Every decision lands in the session ledger
-// (SessionStats.PruneChecked / PruneSkipped).
-func (s *Session) PruneAgainst(ctx context.Context, opts Options, incumbentNJ float64) (bool, error) {
+// PruneAgainst decides admissible pruning for one configuration: pruned
+// when its static lower energy bound loNJ (StaticBounds' whole-program
+// LoEnergyNJ, returned so the caller need not bracket the cell again)
+// already exceeds incumbentNJ (the simulated optimized energy, in
+// nanojoules, of the best configuration seen so far), so simulating the
+// cell provably cannot produce a new winner. Every decision lands in the
+// session ledger (SessionStats.PruneChecked / PruneSkipped).
+func (s *Session) PruneAgainst(ctx context.Context, opts Options, incumbentNJ float64) (loNJ float64, pruned bool, err error) {
 	br, err := s.StaticBounds(ctx, opts)
 	if err != nil {
-		return false, err
+		return 0, false, err
 	}
 	s.counters.pruneChecked.Add(1)
-	if br.Whole.LoEnergyNJ > incumbentNJ {
+	loNJ = br.Whole.LoEnergyNJ
+	pruned = loNJ > incumbentNJ
+	if pruned {
 		s.counters.pruneSkipped.Add(1)
-		return true, nil
 	}
-	return false, nil
+	return loNJ, pruned, nil
 }
 
 // Optimize runs the full pipeline for one configuration, reusing every
@@ -1026,22 +1001,29 @@ func (s *Session) optimize(ctx context.Context, key reportKey) (*Report, error) 
 	rep.StartupCopyCycles, rep.StartupCopyEnergyMJ = startupCopyCost(tf.Image, s.profile)
 
 	// The intermittent tail: replay the same concrete outage schedule
-	// against both images. The baseline run shares the zero transform
-	// key across configurations; the optimized run keys on the chosen
+	// against both images. The baseline replay shares the zero transform
+	// key across configurations; the optimized replay keys on the chosen
 	// placement, so aware and oblivious solves that land on different
 	// placements measure separately while identical placements share.
+	// A replay resumes from checkpoints after every outage, so its final
+	// globals must equal the continuous baseline's — a checkpoint or
+	// restore that lost state would otherwise ship a wrong work rate.
 	if is := key.intermittent; is.enabled {
-		baseRep, err := s.intermittentRun(ctx, intermitKey{
-			trace: is.trace, ckptCycles: is.ckptCycles, maxInstrs: key.maxInstrs,
-		}, base.Image)
+		rk := runKey{maxInstrs: key.maxInstrs, replay: true, trace: is.trace, ckptCycles: is.ckptCycles}
+		baseRep, err := s.run(ctx, rk, func() (*layout.Image, error) { return base.Image, nil })
 		if err != nil {
 			return nil, err
 		}
-		optRep, err := s.intermittentRun(ctx, intermitKey{
-			transform: tf.key, trace: is.trace, ckptCycles: is.ckptCycles, maxInstrs: key.maxInstrs,
-		}, tf.Image)
+		rk.image, rk.optimized = tf.key, true
+		optRep, err := s.run(ctx, rk, func() (*layout.Image, error) { return tf.Image, nil })
 		if err != nil {
 			return nil, err
+		}
+		for _, r := range []*Measurement{baseRep, optRep} {
+			if err := compareGlobals(s.prog, base.globals, r.globals); err != nil {
+				return nil, errs.Wrap(errs.StageValidate,
+					fmt.Errorf("harvested-power replay changed program behaviour: %w", err))
+			}
 		}
 		rep.Intermittent = &IntermittentComparison{
 			Spec:             is.trace,
@@ -1049,8 +1031,8 @@ func (s *Session) optimize(ctx context.Context, key reportKey) (*Report, error) 
 			CheckpointCycles: is.ckptCycles,
 			CkptAware:        is.aware,
 			CkptNJPerByte:    key.solve.model.ckptNJPerByte,
-			Baseline:         baseRep,
-			Optimized:        optRep,
+			Baseline:         baseRep.Intermittent,
+			Optimized:        optRep.Intermittent,
 		}
 	}
 	return rep, nil
@@ -1113,7 +1095,8 @@ type SessionStats struct {
 	Optimize  StageStats `json:"optimize"`
 	Bounds    StageStats `json:"bounds"`
 	// SimRuns and CyclesSimulated count actual simulator executions
-	// (baseline + optimized, deduplicated by the memo).
+	// (baseline, optimized and harvested-power replays, deduplicated by
+	// the memo).
 	SimRuns         uint64 `json:"sim_runs"`
 	CyclesSimulated uint64 `json:"cycles_simulated"`
 	// PruneChecked/PruneSkipped ledger the admissible static-bound
@@ -1217,9 +1200,9 @@ func (c *stageCounter) snapshot() StageStats {
 type sessionCounters struct {
 	baseline, cfg, freq, model, solve, transform, optrun, optimize stageCounter
 	bounds                                                         stageCounter
-	// intermit ledgers the trace-driven run memo. Deliberately not part
-	// of SessionStats: that schema is golden-tested, and always-powered
-	// sweeps never touch this stage.
+	// intermit ledgers the run stage's harvested-power replays.
+	// Deliberately not part of SessionStats: that schema is golden-tested,
+	// and always-powered sweeps never replay.
 	intermit stageCounter
 
 	simRuns, cyclesSimulated   atomic.Uint64

@@ -212,15 +212,14 @@ func TestSessionDefaultSpellingsShareMemo(t *testing.T) {
 		t.Fatal(err)
 	}
 	before := s.Stats()
-	explicit, err := s.Optimize(ctx, core.Options{Xlimit: 2, MaxCandidates: model.DefaultMaxCandidates,
-		ExhaustiveK: 12, Solver: core.SolverILP, Rspare: spare})
+	explicit, err := s.Optimize(ctx, core.Options{Xlimit: 2, Solver: core.SolverILP, Rspare: spare})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if explicit != rep {
 		t.Error("the explicit default spelling built a second Report")
 	}
-	mdl, err := s.Model(ctx, core.ModelSpec{Rspare: spare})
+	mdl, err := s.Model(ctx, core.ModelSpec{Rspare: spare, MaxCandidates: model.DefaultMaxCandidates})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -301,14 +300,4 @@ func TestSessionMachineReuseMatchesFresh(t *testing.T) {
 	}
 	check("baseline", base.Image, base.Stats)
 	check("optimized", rep.Image, rep.Optimized.Stats)
-}
-
-// TestSessionProfileMismatch: a Session refuses Options that contradict
-// its fixed board profile instead of silently ignoring them.
-func TestSessionProfileMismatch(t *testing.T) {
-	s := sessionForTest(t, "crc32", mcc.O2)
-	other := *s.Profile()
-	if _, err := s.Optimize(context.Background(), core.Options{Profile: &other}); err == nil {
-		t.Fatal("mismatched profile accepted")
-	}
 }

@@ -65,15 +65,11 @@ func (sw *Sweep) BestConfig(ctx context.Context, b *beebs.Benchmark, level mcc.O
 	for _, c := range cands {
 		row := SelectionRow{Name: c.Name}
 		if sw.Prune && best.Report != nil {
-			br, err := sess.StaticBounds(ctx, c.Opts)
+			lo, pruned, err := sess.PruneAgainst(ctx, c.Opts, incumbent)
 			if err != nil {
 				return nil, errs.AtBench(b.Name, level.String(), err)
 			}
-			row.LowerBoundNJ = br.Whole.LoEnergyNJ
-			pruned, err := sess.PruneAgainst(ctx, c.Opts, incumbent)
-			if err != nil {
-				return nil, errs.AtBench(b.Name, level.String(), err)
-			}
+			row.LowerBoundNJ = lo
 			if pruned {
 				row.Pruned = true
 				best.Rows = append(best.Rows, row)

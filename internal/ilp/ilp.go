@@ -77,9 +77,9 @@ type WarmStart struct {
 
 // Solver is a 0–1 branch-and-bound instance.
 type Solver struct {
-	// Base is the LP relaxation. Solve adds its own 0/1 bound rows for
-	// every variable in Binaries (they carry the branching fixes), so
-	// Base need not include x_j ≤ 1 rows; redundant copies are harmless.
+	// Base is the LP relaxation, without x_j ≤ 1 rows for the binaries:
+	// Solve adds its own 0/1 bound rows for every variable in Binaries
+	// (they carry the branching fixes).
 	Base *lp.Problem
 	// Binaries lists the variable indices required to be integer (0 or 1).
 	Binaries []int

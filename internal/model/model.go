@@ -241,15 +241,6 @@ func (m *Model) BuildILP() (*lp.Problem, *Vars) {
 		}
 	}
 
-	// Binary bounds for branching variables, in block order — row order
-	// must be deterministic or degenerate simplex ties (and with them the
-	// branch-and-bound node count) follow map iteration order.
-	for _, bd := range m.Blocks {
-		if j, ok := vars.R[bd.Block.Label]; ok {
-			prob.AddRow(map[int]float64{j: 1}, lp.LE, 1)
-		}
-	}
-
 	// Eq. 5 edges: i_b ≥ r_b − r_s, i_b ≥ r_s − r_b.
 	for _, bd := range m.Blocks {
 		lbl := bd.Block.Label
@@ -278,8 +269,10 @@ func (m *Model) BuildILP() (*lp.Problem, *Vars) {
 		}
 	}
 
-	// Product linearization: p ≤ r, p ≤ i, p ≥ r + i − 1 (block order,
-	// for the same determinism reason as the binary bounds).
+	// Product linearization: p ≤ r, p ≤ i, p ≥ r + i − 1, in block order —
+	// row order must be deterministic or degenerate simplex ties (and
+	// with them the branch-and-bound node count) follow map iteration
+	// order.
 	for _, bd := range m.Blocks {
 		lbl := bd.Block.Label
 		pv, ok := vars.P[lbl]
@@ -351,31 +344,12 @@ func (m *Model) Evaluate(inRAM map[string]bool) Outcome {
 		}
 	}
 	for _, bd := range m.Blocks {
-		lbl := bd.Block.Label
-		r := inRAM[lbl]
-		instrumented := false
-		for _, s := range bd.Edges {
-			if inRAM[s.Label] != r {
-				instrumented = true
-				break
-			}
-		}
-		cyc := bd.C
-		if instrumented {
-			cyc += bd.T
-		}
-		if r {
-			cyc += bd.L
-		}
-		mem := m.Params.EFlash
-		if r {
-			mem = m.Params.ERAM
-		}
-		out.Cycles += bd.F * cyc
-		out.EnergyNJ += bd.F * cyc * mem
-		if r {
+		t := m.BlockTerm(bd, inRAM)
+		out.Cycles += t.Cycles
+		out.EnergyNJ += t.EnergyNJ
+		if t.InRAM {
 			out.RAMBytes += bd.S
-			if instrumented {
+			if t.Instrumented {
 				out.RAMBytes += bd.K
 			}
 			// Checkpoint term, mirroring the ILP objective: RAM-placed
@@ -383,7 +357,7 @@ func (m *Model) Evaluate(inRAM map[string]bool) Outcome {
 			// they are materialized (instrumented ∧ RAM, the p variable).
 			if q := m.Params.CkptNJPerByte; q != 0 {
 				out.EnergyNJ += q * bd.S
-				if instrumented {
+				if t.Instrumented {
 					out.EnergyNJ += q * bd.K
 				}
 			}
@@ -468,4 +442,41 @@ func (m *Model) MaterializeX(vars *Vars, inRAM map[string]bool) []float64 {
 		}
 	}
 	return x
+}
+
+// Term is one block's share of Eq. 1 under a placement, before the
+// checkpoint term.
+type Term struct {
+	InRAM bool
+	// Instrumented is Eq. 5: some successor sits in the other memory.
+	Instrumented bool
+	// Cycles is Fb·(Cb [+Tb if instrumented] [+Lb if in RAM]).
+	Cycles float64
+	// EnergyNJ is Cycles·E(memory).
+	EnergyNJ float64
+}
+
+// BlockTerm evaluates bd's term under inRAM: the per-block sum behind
+// Evaluate, and the prediction trace.ModelDiff sets against a measured
+// profile.
+func (m *Model) BlockTerm(bd *BlockData, inRAM map[string]bool) Term {
+	t := Term{InRAM: inRAM[bd.Block.Label]}
+	for _, s := range bd.Edges {
+		if inRAM[s.Label] != t.InRAM {
+			t.Instrumented = true
+			break
+		}
+	}
+	cyc := bd.C
+	if t.Instrumented {
+		cyc += bd.T
+	}
+	mem := m.Params.EFlash
+	if t.InRAM {
+		cyc += bd.L
+		mem = m.Params.ERAM
+	}
+	t.Cycles = bd.F * cyc
+	t.EnergyNJ = t.Cycles * mem
+	return t
 }

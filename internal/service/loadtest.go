@@ -30,17 +30,13 @@ type LoadConfig struct {
 	// BaseURL set).
 	Workers     int
 	MaxSessions int
-
-	// Mix is the request workload cycled through (empty = every BEEBS
-	// benchmark at O2 and Os, plus a profiled and a tight-rspare variant
-	// — a mixed, repeated workload whose repeats must hit the store).
-	Mix []OptimizeRequest
 }
 
-// DefaultMix is the standard repeated workload: all ten BEEBS
-// benchmarks at both paper levels, plus two knob variants that exercise
-// distinct stage keys inside shared sessions.
-func DefaultMix() []OptimizeRequest {
+// loadMix is the request workload a load test cycles through: all ten
+// BEEBS benchmarks at both paper levels, plus a profiled and a
+// tight-rspare variant that exercise distinct stage keys inside shared
+// sessions — a mixed, repeated workload whose repeats must hit the store.
+func loadMix() []OptimizeRequest {
 	var mix []OptimizeRequest
 	for _, b := range beebs.All() {
 		mix = append(mix,
@@ -131,10 +127,7 @@ func LoadTest(ctx context.Context, cfg LoadConfig) (*LoadReport, error) {
 	if cfg.Concurrency <= 0 || cfg.Concurrency > cfg.N {
 		cfg.Concurrency = cfg.N
 	}
-	mix := cfg.Mix
-	if len(mix) == 0 {
-		mix = DefaultMix()
-	}
+	mix := loadMix()
 
 	base := cfg.BaseURL
 	if base == "" {

@@ -55,10 +55,11 @@ type Config struct {
 	// does not carry its own timeout_ms (0 = none). Expiry surfaces as
 	// 504 via errs.HTTPStatus.
 	DefaultTimeout time.Duration
-	// MaxBodyBytes caps request bodies (0 = 4 MiB) — inline sources are
-	// kilobytes; anything larger is a mistake or an attack.
-	MaxBodyBytes int64
 }
+
+// maxBodyBytes caps request bodies: inline sources are kilobytes;
+// anything larger is a mistake or an attack.
+const maxBodyBytes = 4 << 20
 
 func (c *Config) fill() {
 	if c.Workers <= 0 {
@@ -69,9 +70,6 @@ func (c *Config) fill() {
 	}
 	if c.MaxSessions <= 0 {
 		c.MaxSessions = DefaultMaxSessions
-	}
-	if c.MaxBodyBytes <= 0 {
-		c.MaxBodyBytes = 4 << 20
 	}
 }
 
@@ -575,7 +573,7 @@ func (s *Server) handleStatsz(w http.ResponseWriter, r *http.Request) {
 // decode reads a strict JSON body: unknown fields are bad input, so a
 // typo'd knob fails loudly instead of silently running the default.
 func (s *Server) decode(w http.ResponseWriter, r *http.Request, v any) error {
-	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, s.cfg.MaxBodyBytes))
+	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxBodyBytes))
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(v); err != nil {
 		return errs.BadInput(fmt.Errorf("decoding request: %w", err))

@@ -12,20 +12,18 @@ type DiffOptions struct {
 	// OutlierRelErr is the relative disagreement above which a block is
 	// flagged (0 = default 0.5, i.e. the model is off by more than 50%).
 	OutlierRelErr float64
-	// ShareFloor suppresses noise: a block is only eligible for flagging
-	// when its measured or predicted energy share is at least this
-	// fraction of its run's total (0 = default 0.01).
-	ShareFloor float64
 }
 
 func (o *DiffOptions) fill() {
 	if o.OutlierRelErr == 0 {
 		o.OutlierRelErr = 0.5
 	}
-	if o.ShareFloor == 0 {
-		o.ShareFloor = 0.01
-	}
 }
+
+// shareFloor suppresses noise: a block is only eligible for flagging
+// when its measured or predicted energy share is at least this fraction
+// of its run's total.
+const shareFloor = 0.01
 
 // BlockDiff compares one block's measured attribution with the model's
 // predicted contribution to the Eq. 1 objective under the placement.
@@ -55,49 +53,33 @@ type BlockDiff struct {
 type Diff struct {
 	Blocks []BlockDiff // sorted by absolute energy disagreement, descending
 
-	TotalMeasuredNJ  float64
-	TotalPredictedNJ float64 // equals model.Evaluate(inRAM).EnergyNJ
+	TotalMeasuredNJ float64
+	// TotalPredictedNJ sums the model.BlockTerm energies: Evaluate's
+	// EnergyNJ without the checkpoint term, so the two are equal when
+	// the model's CkptNJPerByte is 0.
+	TotalPredictedNJ float64
 	Outliers         int
 }
 
 // ModelDiff compares a measured profile against the model's per-block
-// predicted energy under the given placement. The prediction replays the
-// objective's per-block terms: Fb·(Cb [+Tb if instrumented] [+Lb if in
-// RAM])·E(memory), exactly as model.Evaluate sums them — so the diff's
-// TotalPredictedNJ matches the solver's objective and each block's row
-// shows which term (frequency, cycle count, memory) the model got wrong.
+// predicted energy under the given placement. The prediction is the
+// objective's per-block term, model.BlockTerm: Fb·(Cb [+Tb if
+// instrumented] [+Lb if in RAM])·E(memory), the sum model.Evaluate
+// takes — so each block's row shows which term (frequency, cycle count,
+// memory) the model got wrong.
 func ModelDiff(p *Profile, m *model.Model, inRAM map[string]bool, opts DiffOptions) *Diff {
 	opts.fill()
 	d := &Diff{TotalMeasuredNJ: p.TotalEnergyNJ}
 
 	for _, bd := range m.Blocks {
 		lbl := bd.Block.Label
-		r := inRAM[lbl]
-		instrumented := false
-		for _, s := range bd.Edges {
-			if inRAM[s.Label] != r {
-				instrumented = true
-				break
-			}
-		}
-		cyc := bd.C
-		if instrumented {
-			cyc += bd.T
-		}
-		if r {
-			cyc += bd.L
-		}
-		e := m.Params.EFlash
-		if r {
-			e = m.Params.ERAM
-		}
-		predicted := bd.F * cyc * e
-		d.TotalPredictedNJ += predicted
+		t := m.BlockTerm(bd, inRAM)
+		d.TotalPredictedNJ += t.EnergyNJ
 
 		row := BlockDiff{
 			Label:       lbl,
-			InRAM:       r,
-			PredictedNJ: predicted,
+			InRAM:       t.InRAM,
+			PredictedNJ: t.EnergyNJ,
 			PredictedF:  bd.F,
 		}
 		if bd.Block.Func != nil {
@@ -124,7 +106,7 @@ func ModelDiff(p *Profile, m *model.Model, inRAM map[string]bool, opts DiffOptio
 		if scale > 0 {
 			row.RelErr = math.Abs(row.MeasuredShare-row.PredictedShare) / scale
 		}
-		if row.RelErr > opts.OutlierRelErr && scale >= opts.ShareFloor {
+		if row.RelErr > opts.OutlierRelErr && scale >= shareFloor {
 			row.Outlier = true
 			d.Outliers++
 		}

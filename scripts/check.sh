@@ -95,14 +95,15 @@ if [ -n "$fusedmaps" ]; then
     exit 1
 fi
 
-# The commands reach the pipeline stages only through core.Session
-# (DESIGN.md §6e), which owns every knob's default and the stage order.
-# A command importing a stage package directly grows its own copy of the
-# chain — `flashram analyze` once had one — and its defaults drift from
-# the image Optimize simulates.
-stages=$(grep -rn '"repro/internal/\(cfg\|freq\|model\|transform\|layout\)"' cmd/ || true)
+# The commands and examples reach the pipeline stages only through
+# core.Session (DESIGN.md §6e), which owns every knob's default and the
+# stage order. A command or example importing a stage package directly
+# grows its own copy of the chain — `flashram analyze` and
+# examples/tradeoffspace once had one — and its defaults drift from the
+# image Optimize simulates.
+stages=$(grep -rn '"repro/internal/\(cfg\|freq\|model\|transform\|layout\)"' cmd/ examples/ || true)
 if [ -n "$stages" ]; then
-    echo "cmd/ imports a pipeline stage package (go through core.Session instead):" >&2
+    echo "cmd/ or examples/ imports a pipeline stage package (go through core.Session instead):" >&2
     echo "$stages" >&2
     exit 1
 fi
