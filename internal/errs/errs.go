@@ -125,7 +125,7 @@ var ErrBudget = errors.New("solver budget exhausted")
 // out. It matches ErrBudget via errors.Is, and a deadline-caused one
 // also matches the underlying context error.
 type BudgetError struct {
-	// Resource names what ran out: "nodes", "simplex iterations" or
+	// Resource names what ran out: "node", "simplex iteration" or
 	// "deadline".
 	Resource string
 	// Limit is the budget that tripped (0 when the resource is the

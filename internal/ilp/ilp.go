@@ -77,9 +77,10 @@ type WarmStart struct {
 
 // Solver is a 0–1 branch-and-bound instance.
 type Solver struct {
-	// Base is the LP relaxation, without x_j ≤ 1 rows for the binaries:
-	// Solve adds its own 0/1 bound rows for every variable in Binaries
-	// (they carry the branching fixes).
+	// Base is the LP relaxation. Solve replaces the bounds of every
+	// variable in Binaries with [0, 1] on its own copy (branching fixes
+	// narrow them to [v, v]); Base's bounds on the other variables apply
+	// as they stand.
 	Base *lp.Problem
 	// Binaries lists the variable indices required to be integer (0 or 1).
 	Binaries []int
@@ -124,9 +125,9 @@ const intTol = 1e-6
 type node struct {
 	bound float64
 	fixes []fix
-	// from is the parent relaxation's end state. Because fixes are
-	// RHS-only edits of the augmented problem, the parent's tableau stays
-	// dual feasible in every child and seeds a dual-simplex re-solve.
+	// from is the parent relaxation's end state. Because fixes only
+	// narrow variable bounds, the parent's tableau stays dual feasible in
+	// every child and seeds a dual-simplex re-solve.
 	from *lp.State
 }
 
@@ -162,10 +163,6 @@ func (s *Solver) Solve(ctx context.Context) (*Result, error) {
 	if maxNodes == 0 {
 		maxNodes = 100000
 	}
-	isBinary := make(map[int]bool, len(s.Binaries))
-	for _, j := range s.Binaries {
-		isBinary[j] = true
-	}
 
 	var (
 		incumbent    []float64
@@ -184,14 +181,24 @@ func (s *Solver) Solve(ctx context.Context) (*Result, error) {
 		return r
 	}
 
-	// A warm incumbent is admitted only on its own merits: integral and
-	// feasible for THIS problem, objective recomputed here. If a carried
-	// lower bound already meets that objective the solve is over before
-	// the first LP.
+	// The search works on a bounded copy of the relaxation: every binary
+	// gets [0, 1] up front, and a branching fix narrows one variable's
+	// bounds to [v, v]. Bound edits keep the tableau layout identical
+	// across the whole tree, which is what lets a parent's end state
+	// warm-start its children below.
+	bounded := s.Base.Clone()
+	for _, j := range s.Binaries {
+		bounded.SetBounds(j, 0, 1)
+	}
+
+	// A warm incumbent is admitted only on its own merits: 0/1 on the
+	// binaries and feasible for THIS problem, bounds included, objective
+	// recomputed here. If a carried lower bound already meets that
+	// objective the solve is over before the first LP.
 	if w := s.Warm; w != nil && w.Incumbent != nil &&
-		s.integral(w.Incumbent) && s.Base.Feasible(w.Incumbent, 1e-6) {
+		s.integral(w.Incumbent) && bounded.Feasible(w.Incumbent, 1e-6) {
 		incumbent = append([]float64(nil), w.Incumbent...)
-		incumbentObj = s.Base.Objective(incumbent)
+		incumbentObj = bounded.Objective(incumbent)
 		warmInc = true
 		if w.HasBound && incumbentObj <= w.Bound+1e-9 {
 			// The donor's root state is passed through untouched so a
@@ -206,37 +213,13 @@ func (s *Solver) Solve(ctx context.Context) (*Result, error) {
 		}
 	}
 
-	// The search works on an augmented relaxation: every binary gets an
-	// upper-bound row (x_j ≤ 1) and a lower-bound row (x_j ≥ 0) up front,
-	// and a branching fix only edits the matching row's RHS — fix to 0
-	// tightens the upper bound to 0, fix to 1 raises the lower bound to 1.
-	// Appending EQ rows per node (the obvious encoding) would give every
-	// node a different standard-form layout; RHS-only edits keep the
-	// layout identical across the whole tree, which is what lets a
-	// parent's end state warm-start its children below. The edited RHS
-	// values (0 and 1) never go negative, so no row changes sign or
-	// sprouts a different slack/artificial pattern.
-	aug := s.Base.Clone()
-	ubRow := make(map[int]int, len(s.Binaries))
-	lbRow := make(map[int]int, len(s.Binaries))
-	for _, j := range s.Binaries {
-		ubRow[j] = aug.NumRows()
-		aug.AddRow(map[int]float64{j: 1}, lp.LE, 1)
-		lbRow[j] = aug.NumRows()
-		aug.AddRow(map[int]float64{j: 1}, lp.GE, 0)
-	}
-
 	// solveNode solves one tree node. With a parent end state the node
 	// resumes the dual simplex from the parent's tableau (falling back to
 	// a cold solve internally on any mismatch); the root passes nil.
 	solveNode := func(fixes []fix, from *lp.State) (*lp.Solution, error) {
-		p := aug.Clone()
+		p := bounded.Clone()
 		for _, f := range fixes {
-			if f.val == 0 {
-				p.SetRHS(ubRow[f.j], 0)
-			} else {
-				p.SetRHS(lbRow[f.j], 1)
-			}
+			p.SetBounds(f.j, f.val, f.val)
 		}
 		nodes++
 		if from != nil {
@@ -251,12 +234,12 @@ func (s *Solver) Solve(ctx context.Context) (*Result, error) {
 				return
 			}
 			rx, ok := s.Rounder(x)
-			if !ok || !s.integral(rx) || !s.Base.Feasible(rx, 1e-6) {
+			if !ok || !s.integral(rx) || !bounded.Feasible(rx, 1e-6) {
 				return
 			}
 			x = rx
 		}
-		obj := s.Base.Objective(x)
+		obj := bounded.Objective(x)
 		if obj < incumbentObj-1e-9 {
 			incumbentObj = obj
 			incumbent = append([]float64(nil), x...)
@@ -282,9 +265,9 @@ func (s *Solver) Solve(ctx context.Context) (*Result, error) {
 	case lp.Unbounded:
 		return stamp(&Result{Status: Unbounded, Nodes: nodes}), nil
 	case lp.IterLimit:
-		// The pivot budget ran out at the root. A phase-2 trip still
-		// carries a feasible point — round it into an incumbent rather
-		// than abandoning the solve.
+		// The pivot budget ran out at the root. The trip may still carry
+		// a feasible point — round it into an incumbent rather than
+		// abandoning the solve.
 		if rootSol.X != nil {
 			tryIncumbent(rootSol.X)
 		}
@@ -383,8 +366,7 @@ func (s *Solver) Solve(ctx context.Context) (*Result, error) {
 // integral reports whether every branching variable of x is 0/1.
 func (s *Solver) integral(x []float64) bool {
 	for _, j := range s.Binaries {
-		f := x[j]
-		if math.Abs(f-math.Round(f)) > intTol {
+		if f := x[j]; math.Abs(f) > intTol && math.Abs(f-1) > intTol {
 			return false
 		}
 	}
@@ -392,7 +374,11 @@ func (s *Solver) integral(x []float64) bool {
 }
 
 // mostFractional returns the branching variable whose value is closest to
-// 0.5, or -1 if all are integral.
+// 0.5, or -1 if all are integral. Distances within intTol count as a tie,
+// which goes to the earlier binary: symmetric blocks often sit at the
+// same fractional value, and rounding noise in the relaxation must not
+// pick the branch (it would reorder the tree, and with it any
+// budget-limited answer).
 func (s *Solver) mostFractional(x []float64) int {
 	best, bestDist := -1, math.Inf(1)
 	for _, j := range s.Binaries {
@@ -402,52 +388,10 @@ func (s *Solver) mostFractional(x []float64) int {
 			continue
 		}
 		d := math.Abs(f - 0.5)
-		if d < bestDist {
+		if d < bestDist-intTol {
 			bestDist = d
 			best = j
 		}
 	}
 	return best
-}
-
-// SolveExhaustive enumerates every assignment of the binaries (2^k) and
-// returns the true optimum. Only usable for small k; it is the oracle the
-// branch-and-bound tests compare against (the Figure 6 point cloud and
-// the exhaustive placement solver use placement.Enumerate). Cancelling
-// ctx aborts the enumeration with the context error wrapped — a partial
-// enumeration proves nothing, so no incumbent is returned.
-func (s *Solver) SolveExhaustive(ctx context.Context) (*Result, error) {
-	k := len(s.Binaries)
-	if k > 24 {
-		return nil, fmt.Errorf("ilp: exhaustive enumeration over %d binaries refused", k)
-	}
-	bestObj := math.Inf(1)
-	var bestX []float64
-	nodes := 0
-	for mask := 0; mask < 1<<k; mask++ {
-		p := s.Base.Clone()
-		for bi, j := range s.Binaries {
-			v := 0.0
-			if mask&(1<<bi) != 0 {
-				v = 1.0
-			}
-			p.AddRow(map[int]float64{j: 1}, lp.EQ, v)
-		}
-		nodes++
-		sol, err := p.Solve(ctx)
-		if err != nil {
-			return nil, fmt.Errorf("ilp: exhaustive enumeration: %w", err)
-		}
-		if sol.Status != lp.Optimal {
-			continue
-		}
-		if sol.Obj < bestObj-1e-9 {
-			bestObj = sol.Obj
-			bestX = append([]float64(nil), sol.X...)
-		}
-	}
-	if bestX == nil {
-		return &Result{Status: Infeasible, Nodes: nodes}, nil
-	}
-	return &Result{Status: Optimal, X: bestX, Obj: bestObj, Nodes: nodes}, nil
 }

@@ -5,6 +5,8 @@ import (
 	"math"
 	"math/rand"
 	"testing"
+
+	"repro/internal/lp"
 )
 
 func mustSolve(t *testing.T, s *Solver) *Result {
@@ -136,5 +138,22 @@ func TestWarmNonIntegralIncumbentIsRejected(t *testing.T) {
 	}
 	if warm.Status != Optimal {
 		t.Fatalf("status = %v", warm.Status)
+	}
+}
+
+// TestWarmIncumbentOutsideBinaryRangeIsRejected: a carried incumbent
+// that is integral but not 0/1 satisfies the rows of Base, yet breaks
+// the binary's [0, 1] range and must not be returned as optimal.
+func TestWarmIncumbentOutsideBinaryRangeIsRejected(t *testing.T) {
+	p := lp.NewProblem(1)
+	p.SetObj(0, -1)
+	p.AddRow(map[int]float64{0: 2}, 4)
+	s := &Solver{Base: p, Binaries: []int{0}, Warm: &WarmStart{Incumbent: []float64{2}}}
+	r := mustSolve(t, s)
+	if r.WarmIncumbent {
+		t.Error("incumbent x0 = 2 accepted for a binary")
+	}
+	if r.Status != Optimal || !sameX(r.X, []float64{1}) || r.Obj != -1 {
+		t.Fatalf("got %v X %v obj %v, want optimal X [1] obj -1", r.Status, r.X, r.Obj)
 	}
 }

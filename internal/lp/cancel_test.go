@@ -8,26 +8,26 @@ import (
 )
 
 // randomFeasibleLP builds a bounded, feasible minimization with enough
-// structure that phase 2 needs several pivots.
+// structure that the simplex needs several iterations.
 func randomFeasibleLP(seed int64, n int) *Problem {
 	rng := rand.New(rand.NewSource(seed))
 	p := NewProblem(n)
 	for j := 0; j < n; j++ {
 		p.SetObj(j, -float64(1+rng.Intn(20)))
-		p.AddRow(map[int]float64{j: 1}, LE, 1)
+		p.SetBounds(j, 0, 1)
 	}
 	row := make(map[int]float64, n)
 	for j := 0; j < n; j++ {
 		row[j] = float64(1 + rng.Intn(9))
 	}
-	p.AddRow(row, LE, float64(n))
+	p.AddRow(row, float64(n))
 	return p
 }
 
 // TestIterLimitReturnsFeasiblePoint pins the fix for the discarded
-// phase-2 point: once phase 1 has found a feasible basis, an iteration-
-// limit trip must surface the current basic feasible solution rather
-// than an empty one.
+// point: the all-slack start is feasible and the primal simplex never
+// leaves the feasible region, so an iteration-limit trip must surface
+// the current basic feasible solution rather than an empty one.
 func TestIterLimitReturnsFeasiblePoint(t *testing.T) {
 	sawPartial := false
 	for seed := int64(0); seed < 8; seed++ {
@@ -47,7 +47,7 @@ func TestIterLimitReturnsFeasiblePoint(t *testing.T) {
 				continue
 			}
 			if s.X == nil {
-				continue // phase-1 trip: no feasible point exists yet
+				t.Fatalf("seed %d maxIter %d: IterLimit without a point", seed, maxIter)
 			}
 			sawPartial = true
 			if !q.Feasible(s.X, 1e-6) {
@@ -60,7 +60,7 @@ func TestIterLimitReturnsFeasiblePoint(t *testing.T) {
 		}
 	}
 	if !sawPartial {
-		t.Fatal("no configuration tripped the iteration limit in phase 2; the fix is untested")
+		t.Fatal("no configuration tripped the iteration limit; the fix is untested")
 	}
 }
 

@@ -8,13 +8,23 @@ import (
 	"testing"
 )
 
+// solve runs a cold solve and holds an Optimal answer to its
+// certificate.
 func solve(t *testing.T, p *Problem) *Solution {
 	t.Helper()
 	s, err := p.Solve(context.Background())
 	if err != nil {
 		t.Fatalf("Solve: %v", err)
 	}
+	certify(t, p, s)
 	return s
+}
+
+func certify(t *testing.T, p *Problem, s *Solution) {
+	t.Helper()
+	if err := p.Certify(s, 1e-6); err != nil {
+		t.Fatal(err)
+	}
 }
 
 func approx(a, b float64) bool { return math.Abs(a-b) < 1e-6 }
@@ -25,9 +35,9 @@ func TestSimpleMin(t *testing.T) {
 	p := NewProblem(2)
 	p.SetObj(0, -1)
 	p.SetObj(1, -2)
-	p.AddRow(map[int]float64{0: 1, 1: 1}, LE, 4)
-	p.AddRow(map[int]float64{0: 1}, LE, 2)
-	p.AddRow(map[int]float64{1: 1}, LE, 3)
+	p.AddRow(map[int]float64{0: 1, 1: 1}, 4)
+	p.AddRow(map[int]float64{0: 1}, 2)
+	p.AddRow(map[int]float64{1: 1}, 3)
 	s := solve(t, p)
 	if s.Status != Optimal {
 		t.Fatalf("status = %v", s.Status)
@@ -37,23 +47,11 @@ func TestSimpleMin(t *testing.T) {
 	}
 }
 
-func TestGEAndEQRows(t *testing.T) {
-	// min x + y s.t. x + y >= 2, x = 0.5 → x=0.5, y=1.5, obj 2.
-	p := NewProblem(2)
-	p.SetObj(0, 1)
-	p.SetObj(1, 1)
-	p.AddRow(map[int]float64{0: 1, 1: 1}, GE, 2)
-	p.AddRow(map[int]float64{0: 1}, EQ, 0.5)
-	s := solve(t, p)
-	if s.Status != Optimal || !approx(s.Obj, 2) || !approx(s.X[0], 0.5) {
-		t.Errorf("got %v obj=%v x=%v", s.Status, s.Obj, s.X)
-	}
-}
-
 func TestInfeasible(t *testing.T) {
+	// A raised lower bound pushes the row past its RHS: x ≥ 2, x ≤ 1.
 	p := NewProblem(1)
-	p.AddRow(map[int]float64{0: 1}, GE, 2)
-	p.AddRow(map[int]float64{0: 1}, LE, 1)
+	p.SetBounds(0, 2, math.Inf(1))
+	p.AddRow(map[int]float64{0: 1}, 1)
 	s := solve(t, p)
 	if s.Status != Infeasible {
 		t.Fatalf("status = %v, want infeasible", s.Status)
@@ -69,38 +67,62 @@ func TestUnbounded(t *testing.T) {
 	}
 }
 
+// TestNegativeRHS: every row is ≤ with b ≥ 0, so a negative RHS — from
+// either builder or from SetRHS — is a sticky ErrBadProblem.
 func TestNegativeRHS(t *testing.T) {
-	// min x s.t. -x <= -3 (i.e. x >= 3) → x=3.
-	p := NewProblem(1)
-	p.SetObj(0, 1)
-	p.AddRow(map[int]float64{0: -1}, LE, -3)
-	s := solve(t, p)
-	if s.Status != Optimal || !approx(s.X[0], 3) {
-		t.Errorf("got %v x=%v, want x=3", s.Status, s.X)
+	build := map[string]func(p *Problem){
+		"AddRow":      func(p *Problem) { p.AddRow(map[int]float64{0: -1}, -3) },
+		"AddDenseRow": func(p *Problem) { p.AddDenseRow([]float64{-1}, -3) },
+		"SetRHS": func(p *Problem) {
+			p.AddRow(map[int]float64{0: -1}, 3)
+			p.SetRHS(0, -3)
+		},
 	}
-	// min x s.t. -x >= -3 (x <= 3), x >= 1 → x=1.
-	q := NewProblem(1)
-	q.SetObj(0, 1)
-	q.AddRow(map[int]float64{0: -1}, GE, -3)
-	q.AddRow(map[int]float64{0: 1}, GE, 1)
-	s = solve(t, q)
-	if s.Status != Optimal || !approx(s.X[0], 1) {
-		t.Errorf("got %v x=%v, want x=1", s.Status, s.X)
+	for name, f := range build {
+		p := NewProblem(1)
+		p.SetObj(0, 1)
+		f(p)
+		if _, err := p.Solve(context.Background()); !errors.Is(err, ErrBadProblem) {
+			t.Errorf("%s: Solve error = %v, want ErrBadProblem", name, err)
+		}
+	}
+}
+
+func TestRaisedLowerBound(t *testing.T) {
+	// min x + y s.t. x + y ≤ 4, x ∈ [1, 3], y ∈ [0.5, 2] → (1, 0.5): the
+	// cold solve at lo = 0 is repaired up to the raised bounds.
+	p := NewProblem(2)
+	p.SetObj(0, 1)
+	p.SetObj(1, 1)
+	p.SetBounds(0, 1, 3)
+	p.SetBounds(1, 0.5, 2)
+	p.AddRow(map[int]float64{0: 1, 1: 1}, 4)
+	s := solve(t, p)
+	if s.Status != Optimal || !approx(s.X[0], 1) || !approx(s.X[1], 0.5) || !approx(s.Obj, 1.5) {
+		t.Errorf("got %v obj=%v x=%v, want 1.5 at (1, 0.5)", s.Status, s.Obj, s.X)
+	}
+	// Maximizing instead drives both to the bounds the row leaves room
+	// for: y = 2 at its upper bound, x = 2 against the row.
+	p.SetObj(0, -1)
+	p.SetObj(1, -1.5)
+	s = solve(t, p)
+	if s.Status != Optimal || !approx(s.X[0], 2) || !approx(s.X[1], 2) {
+		t.Errorf("got %v x=%v, want (2, 2)", s.Status, s.X)
 	}
 }
 
 func TestDegenerateKnapsackRelaxation(t *testing.T) {
 	// A knapsack-style relaxation like the placement model's Eq. 7:
-	// min -5a -4b -3c s.t. 2a+3b+c <= 5, a,b,c <= 1.
+	// min -5a -4b -3c s.t. 2a+3b+c <= 5, a,b,c in [0, 1].
 	// LP optimum: a=1, b=2/3? value: -5 -4*(2/3) ... check: after a=1,c=1:
 	// weight 3, b can take 2/3: obj -5 -3 -8/3 = -10.666...
 	p := NewProblem(3)
 	p.SetObj(0, -5)
 	p.SetObj(1, -4)
 	p.SetObj(2, -3)
-	p.AddRow(map[int]float64{0: 2, 1: 3, 2: 1}, LE, 5)
+	p.AddRow(map[int]float64{0: 2, 1: 3, 2: 1}, 5)
 	for j := 0; j < 3; j++ {
-		p.AddRow(map[int]float64{j: 1}, LE, 1)
+		p.SetBounds(j, 0, 1)
 	}
 	s := solve(t, p)
 	want := -5.0 - 3.0 - 8.0/3.0
@@ -109,37 +131,10 @@ func TestDegenerateKnapsackRelaxation(t *testing.T) {
 	}
 }
 
-func TestEqualityOnly(t *testing.T) {
-	// min 2x+3y s.t. x+y=10, x-y=2 → x=6,y=4, obj 24.
-	p := NewProblem(2)
-	p.SetObj(0, 2)
-	p.SetObj(1, 3)
-	p.AddRow(map[int]float64{0: 1, 1: 1}, EQ, 10)
-	p.AddRow(map[int]float64{0: 1, 1: -1}, EQ, 2)
-	s := solve(t, p)
-	if s.Status != Optimal || !approx(s.X[0], 6) || !approx(s.X[1], 4) {
-		t.Errorf("got %v x=%v", s.Status, s.X)
-	}
-}
-
-func TestRedundantRows(t *testing.T) {
-	// Duplicate equality rows leave a redundant artificial; solver must cope.
-	p := NewProblem(2)
-	p.SetObj(0, 1)
-	p.SetObj(1, 1)
-	p.AddRow(map[int]float64{0: 1, 1: 1}, EQ, 3)
-	p.AddRow(map[int]float64{0: 1, 1: 1}, EQ, 3)
-	p.AddRow(map[int]float64{0: 1}, GE, 1)
-	s := solve(t, p)
-	if s.Status != Optimal || !approx(s.Obj, 3) {
-		t.Errorf("got %v obj=%v", s.Status, s.Obj)
-	}
-}
-
 func TestDenseRow(t *testing.T) {
 	p := NewProblem(2)
 	p.SetObj(0, -1)
-	p.AddDenseRow([]float64{1, 1}, LE, 1)
+	p.AddDenseRow([]float64{1, 1}, 1)
 	s := solve(t, p)
 	if !approx(s.X[0], 1) {
 		t.Errorf("x = %v, want x0=1", s.X)
@@ -154,12 +149,32 @@ func TestBadProblemSurfacedBySolve(t *testing.T) {
 		{"negative variable count", NewProblem(-1)},
 		{"out-of-range variable", func() *Problem {
 			p := NewProblem(1)
-			p.AddRow(map[int]float64{5: 1}, LE, 1)
+			p.AddRow(map[int]float64{5: 1}, 1)
 			return p
 		}()},
 		{"dense row length mismatch", func() *Problem {
 			p := NewProblem(2)
-			p.AddDenseRow([]float64{1}, LE, 1)
+			p.AddDenseRow([]float64{1}, 1)
+			return p
+		}()},
+		{"out-of-range row", func() *Problem {
+			p := NewProblem(1)
+			p.SetRHS(0, 1)
+			return p
+		}()},
+		{"out-of-range bounded variable", func() *Problem {
+			p := NewProblem(1)
+			p.SetBounds(1, 0, 1)
+			return p
+		}()},
+		{"negative lower bound", func() *Problem {
+			p := NewProblem(1)
+			p.SetBounds(0, -1, 1)
+			return p
+		}()},
+		{"crossed bounds", func() *Problem {
+			p := NewProblem(1)
+			p.SetBounds(0, 2, 1)
 			return p
 		}()},
 	}
@@ -175,41 +190,31 @@ func TestBadProblemSurfacedBySolve(t *testing.T) {
 	}
 }
 
-// bruteForceBinary finds the optimal 0/1 assignment of a problem whose
-// variables are all additionally constrained to {0,1}; used as an oracle:
-// the LP relaxation value must lower-bound it.
-func bruteForceBinary(obj []float64, rows [][]float64, rels []Rel, rhs []float64) (float64, bool) {
+// bruteForceBinary finds the optimal 0/1 assignment of a problem with
+// rows Σ rows[r]·x ≤ rhs[r] and each x_j within [lo_j, hi_j] ⊆ [0, 1];
+// used as an oracle: the LP relaxation value must lower-bound it.
+func bruteForceBinary(obj []float64, rows [][]float64, rhs, lo, hi []float64) (float64, bool) {
 	n := len(obj)
 	best := math.Inf(1)
 	found := false
 	for mask := 0; mask < 1<<n; mask++ {
 		ok := true
-		for r := range rows {
-			v := 0.0
-			for j := 0; j < n; j++ {
-				if mask&(1<<j) != 0 {
-					v += rows[r][j]
-				}
-			}
-			switch rels[r] {
-			case LE:
-				ok = ok && v <= rhs[r]+1e-9
-			case GE:
-				ok = ok && v >= rhs[r]-1e-9
-			case EQ:
-				ok = ok && math.Abs(v-rhs[r]) < 1e-9
-			}
-		}
-		if !ok {
-			continue
-		}
 		v := 0.0
 		for j := 0; j < n; j++ {
-			if mask&(1<<j) != 0 {
-				v += obj[j]
-			}
+			x := float64(mask >> j & 1)
+			ok = ok && x >= lo[j] && x <= hi[j]
+			v += obj[j] * x
 		}
-		if v < best {
+		for r := range rows {
+			a := 0.0
+			for j := 0; j < n; j++ {
+				if mask&(1<<j) != 0 {
+					a += rows[r][j]
+				}
+			}
+			ok = ok && a <= rhs[r]+1e-9
+		}
+		if ok && v < best {
 			best = v
 			found = true
 		}
@@ -217,73 +222,52 @@ func bruteForceBinary(obj []float64, rows [][]float64, rels []Rel, rhs []float64
 	return best, found
 }
 
-// TestRelaxationLowerBounds: on random binary-feasible problems, the LP
-// relaxation (with x ≤ 1 rows) is a valid lower bound on the binary
-// optimum, and the LP never reports infeasible when a binary solution
-// exists.
+// TestRelaxationLowerBounds: on random binary-feasible problems — ≤ rows
+// of mixed sign plus random variable bounds within [0, 1] (a raised lower
+// bound plays the part a ≥ row used to) — the LP relaxation is a valid
+// lower bound on the binary optimum, and the LP never reports infeasible
+// when a binary solution exists.
 func TestRelaxationLowerBounds(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
+	boxes := [][2]float64{{0, 1}, {0, 1}, {0, 1}, {0, 0}, {1, 1}}
 	for trial := 0; trial < 300; trial++ {
 		n := 2 + rng.Intn(5)
 		m := 1 + rng.Intn(4)
 		obj := make([]float64, n)
+		lo := make([]float64, n)
+		hi := make([]float64, n)
 		for j := range obj {
 			obj[j] = float64(rng.Intn(21) - 10)
+			box := boxes[rng.Intn(len(boxes))]
+			lo[j], hi[j] = box[0], box[1]
 		}
 		rows := make([][]float64, m)
-		rels := make([]Rel, m)
 		rhs := make([]float64, m)
 		for r := 0; r < m; r++ {
 			rows[r] = make([]float64, n)
 			for j := 0; j < n; j++ {
 				rows[r][j] = float64(rng.Intn(7) - 3)
 			}
-			rels[r] = Rel(rng.Intn(2)) // LE or GE; EQ rarely binary-feasible
-			rhs[r] = float64(rng.Intn(11) - 5)
+			rhs[r] = float64(rng.Intn(6))
 		}
-		intBest, feasible := bruteForceBinary(obj, rows, rels, rhs)
+		intBest, feasible := bruteForceBinary(obj, rows, rhs, lo, hi)
 		if !feasible {
 			continue
 		}
 		p := NewProblem(n)
 		for j := 0; j < n; j++ {
 			p.SetObj(j, obj[j])
-			p.AddRow(map[int]float64{j: 1}, LE, 1)
+			p.SetBounds(j, lo[j], hi[j])
 		}
 		for r := 0; r < m; r++ {
-			p.AddDenseRow(rows[r], rels[r], rhs[r])
+			p.AddDenseRow(rows[r], rhs[r])
 		}
-		s, err := p.Solve(context.Background())
-		if err != nil {
-			t.Fatalf("trial %d: %v", trial, err)
-		}
+		s := solve(t, p)
 		if s.Status != Optimal {
 			t.Fatalf("trial %d: status %v with binary-feasible instance", trial, s.Status)
 		}
 		if s.Obj > intBest+1e-6 {
 			t.Fatalf("trial %d: LP obj %v exceeds binary optimum %v", trial, s.Obj, intBest)
-		}
-		// The solution must satisfy every row.
-		for r := 0; r < m; r++ {
-			v := 0.0
-			for j := 0; j < n; j++ {
-				v += rows[r][j] * s.X[j]
-			}
-			switch rels[r] {
-			case LE:
-				if v > rhs[r]+1e-6 {
-					t.Fatalf("trial %d: row %d violated: %v > %v", trial, r, v, rhs[r])
-				}
-			case GE:
-				if v < rhs[r]-1e-6 {
-					t.Fatalf("trial %d: row %d violated: %v < %v", trial, r, v, rhs[r])
-				}
-			}
-		}
-		for j := 0; j < n; j++ {
-			if s.X[j] < -1e-6 || s.X[j] > 1+1e-6 {
-				t.Fatalf("trial %d: x[%d]=%v out of [0,1]", trial, j, s.X[j])
-			}
 		}
 	}
 }
@@ -291,7 +275,7 @@ func TestRelaxationLowerBounds(t *testing.T) {
 func TestIterLimit(t *testing.T) {
 	p := NewProblem(3)
 	p.SetObj(0, -1)
-	p.AddRow(map[int]float64{0: 1, 1: 1, 2: 1}, LE, 10)
+	p.AddRow(map[int]float64{0: 1, 1: 1, 2: 1}, 10)
 	p.MaxIter = 1
 	s := solve(t, p)
 	if s.Status != IterLimit && s.Status != Optimal {

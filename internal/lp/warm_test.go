@@ -3,25 +3,38 @@ package lp
 import (
 	"context"
 	"errors"
+	"math"
 	"math/rand"
 	"testing"
 )
 
-// sweepProblem builds min -Σ c_j x_j with x_j ≤ 1 box rows and one
-// shared budget row Σ w_j x_j ≤ budget — the same all-LE shape as the
-// placement model, where sweeps vary only the budget RHS.
+// sweepProblem builds min -Σ c_j x_j with x_j ∈ [0, 1] and one shared
+// budget row Σ w_j x_j ≤ budget — the same shape as the placement
+// model's relaxation, where sweeps vary only the budget RHS.
 func sweepProblem(n int, c, w []float64, budget float64) *Problem {
 	p := NewProblem(n)
 	for j := 0; j < n; j++ {
 		p.SetObj(j, -c[j])
-		p.AddRow(map[int]float64{j: 1}, LE, 1)
+		p.SetBounds(j, 0, 1)
 	}
 	row := make(map[int]float64, n)
 	for j := 0; j < n; j++ {
 		row[j] = w[j]
 	}
-	p.AddRow(row, LE, budget)
+	p.AddRow(row, budget)
 	return p
+}
+
+// solveFrom resumes p from st and holds an Optimal answer to its
+// certificate.
+func solveFrom(t *testing.T, p *Problem, st *State) *Solution {
+	t.Helper()
+	s, err := p.SolveFromState(context.Background(), st)
+	if err != nil {
+		t.Fatalf("SolveFromState: %v", err)
+	}
+	certify(t, p, s)
+	return s
 }
 
 // TestSolveFromStickyError: a construction error recorded while building
@@ -29,7 +42,7 @@ func sweepProblem(n int, c, w []float64, budget float64) *Problem {
 func TestSolveFromStickyError(t *testing.T) {
 	donor := solve(t, sweepProblem(3, []float64{3, 2, 5}, []float64{1, 1, 2}, 2.5))
 	p := NewProblem(1)
-	p.AddRow(map[int]float64{2: 1}, LE, 1) // out of range: poisons the problem
+	p.AddRow(map[int]float64{2: 1}, 1) // out of range: poisons the problem
 	for _, st := range []*State{nil, donor.State} {
 		if _, err := p.SolveFromState(context.Background(), st); !errors.Is(err, ErrBadProblem) {
 			t.Fatalf("state %p: err = %v, want sticky ErrBadProblem", st, err)
@@ -60,10 +73,7 @@ func TestSolveFromStateMatchesColdAfterRHSChange(t *testing.T) {
 	for _, budget := range []float64{20, 4, 9, 14, 18, 22, 30} {
 		next := sweepProblem(n, c, w, budget)
 		cold := solve(t, next.Clone())
-		warm, err := next.SolveFromState(context.Background(), st)
-		if err != nil {
-			t.Fatalf("budget %v: SolveFromState: %v", budget, err)
-		}
+		warm := solveFrom(t, next, st)
 		if warm.Status != cold.Status {
 			t.Fatalf("budget %v: warm status %v, cold %v", budget, warm.Status, cold.Status)
 		}
@@ -106,10 +116,7 @@ func TestSolveFromStateSharedDonorServesTwoReceivers(t *testing.T) {
 	parent := solve(t, sweepProblem(3, c, w, 2.5))
 	for _, budget := range []float64{1.5, 3.5} {
 		cold := solve(t, sweepProblem(3, c, w, budget))
-		warm, err := sweepProblem(3, c, w, budget).SolveFromState(context.Background(), parent.State)
-		if err != nil {
-			t.Fatal(err)
-		}
+		warm := solveFrom(t, sweepProblem(3, c, w, budget), parent.State)
 		if warm.Status != Optimal || !approx(warm.Obj, cold.Obj) {
 			t.Errorf("budget %v: got %v obj %v, want cold optimum %v",
 				budget, warm.Status, warm.Obj, cold.Obj)
@@ -117,12 +124,45 @@ func TestSolveFromStateSharedDonorServesTwoReceivers(t *testing.T) {
 	}
 }
 
+// TestSolveFromStateMatchesColdAfterBoundChange walks a branch-and-
+// bound path: each step fixes one more variable to 0 or 1 and resumes
+// from the previous step's state, as ilp does for a child node.
+func TestSolveFromStateMatchesColdAfterBoundChange(t *testing.T) {
+	rng := rand.New(rand.NewSource(23))
+	const n = 12
+	c := make([]float64, n)
+	w := make([]float64, n)
+	for j := range c {
+		c[j] = 1 + rng.Float64()*9
+		w[j] = 1 + rng.Float64()*4
+	}
+	p := sweepProblem(n, c, w, 20)
+	st := solve(t, p).State
+	for _, j := range rng.Perm(n)[:6] {
+		v := float64(rng.Intn(2))
+		p = p.Clone()
+		p.SetBounds(j, v, v)
+		cold := solve(t, p.Clone())
+		warm := solveFrom(t, p, st)
+		if warm.Status != cold.Status || !warm.Warmed {
+			t.Fatalf("fix x%d=%v: warm %v (warmed %v), cold %v", j, v, warm.Status, warm.Warmed, cold.Status)
+		}
+		if !approx(warm.Obj, cold.Obj) {
+			t.Errorf("fix x%d=%v: warm obj %v, cold %v", j, v, warm.Obj, cold.Obj)
+		}
+		if warm.Status != Optimal {
+			return
+		}
+		st = warm.State
+	}
+}
+
 func TestSolveFromStateDetectsInfeasible(t *testing.T) {
 	build := func(budget float64) *Problem {
 		p := NewProblem(1)
 		p.SetObj(0, 1)
-		p.AddRow(map[int]float64{0: 1}, GE, 2)
-		p.AddRow(map[int]float64{0: 1}, LE, budget)
+		p.SetBounds(0, 2, math.Inf(1))
+		p.AddRow(map[int]float64{0: 1}, budget)
 		return p
 	}
 	sol := solve(t, build(5))
@@ -158,22 +198,12 @@ func TestSolveFromStateLayoutMismatchFallsBackToCold(t *testing.T) {
 		}
 	}
 
-	// Different dimensions.
+	// Fewer variables.
 	foreign(func() *Problem { return sweepProblem(2, c[:2], w[:2], 2.5) })
-	// Same shape, one relation changed.
+	// One row more.
 	foreign(func() *Problem {
 		p := sweepProblem(3, c, w, 2.5)
-		p.AddRow(map[int]float64{0: 1}, GE, 0)
-		return p
-	})
-	// RHS sign flipped on an existing row (layout re-negates the row).
-	foreign(func() *Problem {
-		p := NewProblem(3)
-		for j := 0; j < 3; j++ {
-			p.SetObj(j, -c[j])
-			p.AddRow(map[int]float64{j: 1}, LE, 1)
-		}
-		p.AddRow(map[int]float64{0: w[0], 1: w[1], 2: w[2]}, LE, -1)
+		p.AddRow(map[int]float64{0: 1}, 0.5)
 		return p
 	})
 	// nil state.

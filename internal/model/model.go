@@ -264,8 +264,8 @@ func (m *Model) BuildILP() (*lp.Problem, *Vars) {
 				row1[rs] = row1[rs] - 1
 				row2[rs] = row2[rs] + 1
 			}
-			prob.AddRow(row1, lp.LE, 0) // r_b − r_s − i_b ≤ 0
-			prob.AddRow(row2, lp.LE, 0) // r_s − r_b − i_b ≤ 0
+			prob.AddRow(row1, 0) // r_b − r_s − i_b ≤ 0
+			prob.AddRow(row2, 0) // r_s − r_b − i_b ≤ 0
 		}
 	}
 
@@ -281,9 +281,9 @@ func (m *Model) BuildILP() (*lp.Problem, *Vars) {
 		}
 		rv := vars.R[lbl]
 		iv := vars.I[lbl]
-		prob.AddRow(map[int]float64{pv: 1, rv: -1}, lp.LE, 0)
-		prob.AddRow(map[int]float64{pv: 1, iv: -1}, lp.LE, 0)
-		prob.AddRow(map[int]float64{rv: 1, iv: 1, pv: -1}, lp.LE, 1)
+		prob.AddRow(map[int]float64{pv: 1, rv: -1}, 0)
+		prob.AddRow(map[int]float64{pv: 1, iv: -1}, 0)
+		prob.AddRow(map[int]float64{rv: 1, iv: 1, pv: -1}, 1)
 	}
 
 	// Eq. 7: Σ S·r + K·p ≤ Rspare.
@@ -298,7 +298,7 @@ func (m *Model) BuildILP() (*lp.Problem, *Vars) {
 		}
 	}
 	if len(ramRow) > 0 {
-		prob.AddRow(ramRow, lp.LE, m.Params.Rspare)
+		prob.AddRow(ramRow, m.Params.Rspare)
 	}
 
 	// Eq. 9: Σ F(T·i + L·r) ≤ (Xlimit−1)·BaseCycles.
@@ -313,7 +313,7 @@ func (m *Model) BuildILP() (*lp.Problem, *Vars) {
 		}
 	}
 	if len(timeRow) > 0 {
-		prob.AddRow(timeRow, lp.LE, (m.Params.Xlimit-1)*m.BaseCycles)
+		prob.AddRow(timeRow, (m.Params.Xlimit-1)*m.BaseCycles)
 	}
 
 	return prob, vars

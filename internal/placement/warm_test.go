@@ -132,7 +132,7 @@ func TestWarmGarbageStateIsHarmless(t *testing.T) {
 	// A root state from a one-variable LP describes another layout.
 	other := lp.NewProblem(1)
 	other.SetObj(0, -1)
-	other.AddRow(map[int]float64{0: 1}, lp.LE, 1)
+	other.AddRow(map[int]float64{0: 1}, 1)
 	foreign, err := other.Solve(context.Background())
 	if err != nil {
 		t.Fatal(err)
