@@ -13,18 +13,21 @@ import (
 // (internal/service, through a Sweep over its Store) and the CLIs. A
 // Session already memoizes every pipeline stage on exactly that stage's
 // inputs; what the Store adds is the outermost key — which program the
-// stages belong to. Content-addressing that key (a hash of the source
-// text and compile knobs, not a file name or tenant id) is what lets
-// identical stage inputs from different requests and different tenants
-// land on one shared memo.
+// stages belong to. That key is the compiled program itself
+// (ir.Program.Fingerprint plus the SessionConfig), not a file name,
+// tenant id or optimization level: identical stage inputs from different
+// requests, tenants and compile levels land on one shared memo. Lookups
+// arrive under SessionKey(source, level); each such key resolves to its
+// program once, by compiling, and is an alias of it from then on.
 
-// SessionKey content-addresses one compiled pipeline input: a SHA-256
-// over the length-prefixed parts (source text, optimization level, and
-// any further knobs that reach the compiler). Two requests with the same
-// parts — regardless of tenant, file name, or arrival order — get the
-// same key and therefore the same Session, whose per-stage memos are
-// keyed on exactly the remaining knobs (placement, budgets, tracing).
-// The hex form is stable across processes, so it can serve as an
+// SessionKey content-addresses one pipeline input as the caller spelled
+// it: a SHA-256 over the length-prefixed parts (source text,
+// optimization level, and any further knobs that reach the compiler).
+// Two requests with the same parts — regardless of tenant, file name, or
+// arrival order — get the same key and therefore the same Session, whose
+// per-stage memos are keyed on exactly the remaining knobs (placement,
+// budgets, tracing); keys whose builds compile to the same program share
+// it too. The hex form is stable across processes, so it can serve as an
 // external cache key or an ETag.
 func SessionKey(parts ...string) string {
 	h := sha256.New()
@@ -99,21 +102,29 @@ func NewCacheTotals(sessionHits, sessionMisses uint64, stages SessionStats) Cach
 	return t
 }
 
-// Store is a content-addressed map from SessionKey to live Sessions,
-// optionally bounded with least-recently-used eviction. It is safe for
-// concurrent use.
+// Store maps lookup keys (SessionKey over a source and its compile
+// knobs) to live Sessions, holding one Session per compiled program: a
+// key is an alias that resolves, on its first lookup, to the entry of
+// the program its build produced — identified by ir.Program.Fingerprint
+// and the SessionConfig — and O2/Os builds that compile to identical code
+// share that entry and every stage memo behind it. The store is
+// optionally bounded with least-recently-used eviction over programs,
+// and is safe for concurrent use.
 //
 // Builds are single-flight per key: the first caller computes, every
 // concurrent identical caller blocks on that computation and shares the
 // (immutable) result — the cross-request analogue of the Session's own
-// stage memos. A failed build is not retained: the error reaches every
-// waiter of that flight, and a later call with the same key retries, so
-// a transiently broken request cannot poison the key.
+// stage memos. A key whose program is already held discards its freshly
+// built Session and joins the held one; later lookups of the key hit
+// without building. A failed build is not retained: the error reaches
+// every waiter of that flight, and a later call with the same key
+// retries, so a transiently broken request cannot poison the key.
 type Store struct {
-	mu      sync.Mutex
-	max     int
-	entries map[string]*storeEntry
-	lru     *list.List // front = most recently used
+	mu       sync.Mutex
+	max      int
+	aliases  map[string]*alias
+	programs map[programKey]*program
+	lru      *list.List // of *program; front = most recently used
 
 	hits, misses, evictions uint64
 
@@ -125,17 +136,30 @@ type Store struct {
 	retiredSolver SolverStats
 }
 
-type storeEntry struct {
-	key  string
-	elem *list.Element
+// programKey identifies one held Session: what the compiler emitted and
+// the modes the session runs it under.
+type programKey struct {
+	fp  [sha256.Size]byte
+	cfg SessionConfig
+}
+
+// program is one held Session and every key that resolved to it.
+// Eviction removes it together with those keys.
+type program struct {
+	key     programKey
+	elem    *list.Element
+	sess    *Session
+	aliases []string
+}
+
+// alias is one key's flight. prog is set (under the store lock) once
+// the flight joined a program; until then the key is in flight, which
+// no eviction can touch, so a key's single-flight guarantee holds even
+// under capacity pressure and a ledger read never races a build.
+type alias struct {
 	once sync.Once
-	sess *Session
+	prog *program
 	err  error
-	// built is set (under the store lock) once the flight finished
-	// successfully; only built entries are eviction candidates or count
-	// in the stage ledgers, so a key's single-flight guarantee holds even
-	// under capacity pressure and a ledger read never races a build.
-	built bool
 }
 
 // NewStore returns a store retaining at most max sessions; max <= 0
@@ -143,65 +167,81 @@ type storeEntry struct {
 // cells it runs).
 func NewStore(max int) *Store {
 	return &Store{
-		max:     max,
-		entries: make(map[string]*storeEntry),
-		lru:     list.New(),
+		max:      max,
+		aliases:  make(map[string]*alias),
+		programs: make(map[programKey]*program),
+		lru:      list.New(),
 	}
 }
 
-// GetSession returns the session for key, building (and retaining) it
-// on first use, at most once per live key.
+// GetSession returns the session for key, building it on the key's
+// first use (at most once per live key) and sharing it with every other
+// key whose build produced the same program.
 func (s *Store) GetSession(key string, build func() (*Session, error)) (*Session, error) {
 	s.mu.Lock()
-	e := s.entries[key]
-	if e != nil {
+	a := s.aliases[key]
+	if a != nil {
 		s.hits++
-		s.lru.MoveToFront(e.elem)
+		if a.prog != nil {
+			s.lru.MoveToFront(a.prog.elem)
+		}
 	} else {
 		s.misses++
-		e = &storeEntry{key: key}
-		e.elem = s.lru.PushFront(e)
-		s.entries[key] = e
+		a = &alias{}
+		s.aliases[key] = a
 	}
 	s.mu.Unlock()
 
-	e.once.Do(func() {
-		e.sess, e.err = build()
-		s.mu.Lock()
-		defer s.mu.Unlock()
-		if e.err != nil {
+	a.once.Do(func() {
+		sess, err := build()
+		if err != nil {
 			// Drop the failed flight: waiters of this flight still see
 			// the error, but the next caller with this key retries.
-			if s.entries[key] == e {
-				delete(s.entries, key)
-				s.lru.Remove(e.elem)
-			}
+			a.err = err
+			s.mu.Lock()
+			delete(s.aliases, key)
+			s.mu.Unlock()
 			return
 		}
-		e.built = true
-		s.evictLocked()
+		pk := programKey{fp: sess.prog.Fingerprint(), cfg: sess.cfg}
+		s.mu.Lock()
+		a.prog = s.joinLocked(key, pk, sess)
+		s.mu.Unlock()
 	})
-	return e.sess, e.err
+	if a.err != nil {
+		return nil, a.err
+	}
+	return a.prog.sess, nil
 }
 
-// evictLocked trims least-recently-used built entries until the store is
-// within its bound. In-flight entries are never evicted (that would
-// break single-flight); if every entry is mid-build the store briefly
-// exceeds its bound and settles as flights land.
+// joinLocked attaches key to the held program pk, holding sess as that
+// program's Session if none is held yet, and trims the store to its
+// bound.
+func (s *Store) joinLocked(key string, pk programKey, sess *Session) *program {
+	p := s.programs[pk]
+	if p == nil {
+		p = &program{key: pk, sess: sess}
+		p.elem = s.lru.PushFront(p)
+		s.programs[pk] = p
+	} else {
+		s.lru.MoveToFront(p.elem)
+	}
+	p.aliases = append(p.aliases, key)
+	s.evictLocked()
+	return p
+}
+
+// evictLocked trims least-recently-used programs, each with all of its
+// keys, until the store is within its bound. The program just joined is
+// the most recently used, so it always survives.
 func (s *Store) evictLocked() {
-	for s.max > 0 && len(s.entries) > s.max {
-		victim := (*storeEntry)(nil)
-		for el := s.lru.Back(); el != nil; el = el.Prev() {
-			if e := el.Value.(*storeEntry); e.built {
-				victim = e
-				break
-			}
-		}
-		if victim == nil {
-			return
-		}
-		delete(s.entries, victim.key)
+	for s.max > 0 && len(s.programs) > s.max {
+		victim := s.lru.Back().Value.(*program)
 		s.lru.Remove(victim.elem)
+		delete(s.programs, victim.key)
+		for _, k := range victim.aliases {
+			delete(s.aliases, k)
+		}
 		s.evictions++
 		// Snapshot the evicted session's stage ledger so the cumulative
 		// totals survive the eviction. A caller still holding the
@@ -220,18 +260,16 @@ func (s *Store) CacheStats() CacheStats {
 		Hits:      s.hits,
 		Misses:    s.misses,
 		Evictions: s.evictions,
-		Entries:   len(s.entries),
+		Entries:   len(s.programs),
 	}
 }
 
-// live lists the built sessions; the caller holds s.mu and aggregates
-// their ledgers after releasing it.
+// live lists the held sessions, each once however many keys share it;
+// the caller holds s.mu and aggregates their ledgers after releasing it.
 func (s *Store) live() []*Session {
-	out := make([]*Session, 0, len(s.entries))
-	for _, e := range s.entries {
-		if e.built {
-			out = append(out, e.sess)
-		}
+	out := make([]*Session, 0, len(s.programs))
+	for _, p := range s.programs {
+		out = append(out, p.sess)
 	}
 	return out
 }

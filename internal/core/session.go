@@ -41,11 +41,10 @@ import (
 // over one Session safe (the evaluation sweeps run them across a worker
 // pool under the race detector).
 type Session struct {
-	prog      *ir.Program
-	profile   *power.Profile
-	layout    layout.Config
-	warmSolve bool
-	noFuse    bool
+	prog    *ir.Program
+	profile *power.Profile
+	layout  layout.Config
+	cfg     SessionConfig
 
 	counters sessionCounters
 
@@ -114,8 +113,7 @@ func NewSession(p *ir.Program, cfg SessionConfig) (*Session, error) {
 	if err := ir.Verify(p); err != nil {
 		return nil, errs.Wrap(errs.StageVerify, err)
 	}
-	return &Session{prog: p, profile: power.STM32F100(), layout: layout.DefaultConfig(),
-		warmSolve: cfg.WarmSolve, noFuse: cfg.NoFuse}, nil
+	return &Session{prog: p, profile: power.STM32F100(), layout: layout.DefaultConfig(), cfg: cfg}, nil
 }
 
 // Program returns the session's (immutable) input program.
@@ -133,7 +131,7 @@ func (s *Session) acquireMachine(img *layout.Image) *sim.Machine {
 	} else {
 		m.SetImage(img)
 	}
-	m.NoFuse = s.noFuse
+	m.NoFuse = s.cfg.NoFuse
 	return m
 }
 
@@ -637,11 +635,11 @@ func (s *Session) solve(ctx context.Context, key solveKey) (*placement.Result, e
 			// identity when the budget trips; with the zero budget and a
 			// live context it is exactly the exact ILP solve.
 			var warm *placement.Warm
-			if s.warmSolve {
+			if s.cfg.WarmSolve {
 				warm = s.neighborWarm(key)
 			}
 			res, err = placement.SolveLadder(ctx, mdl, key.budget, warm)
-			if err == nil && s.warmSolve {
+			if err == nil && s.cfg.WarmSolve {
 				s.accountWarm(warm, res)
 				s.recordWarm(key, res.Warm)
 			}

@@ -39,10 +39,10 @@ type Sweep struct {
 	// simulated (see SessionStats.PruneChecked/PruneSkipped).
 	Prune bool
 
-	// Store holds the sweep's sessions, content-addressed on
-	// core.SessionKey(source, level), and its ledger is the one Stats and
-	// SolverStats report. Nil means a private unbounded store created on
-	// first use. The daemon (internal/service) sets its bounded
+	// Store holds the sweep's sessions, one per compiled program, looked
+	// up by core.SessionKey(source, level); its ledger is the one Stats
+	// and SolverStats report. Nil means a private unbounded store created
+	// on first use. The daemon (internal/service) sets its bounded
 	// cross-request store, so every request it serves shares one memo.
 	Store *core.Store
 

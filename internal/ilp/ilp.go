@@ -215,7 +215,8 @@ func (s *Solver) Solve(ctx context.Context) (*Result, error) {
 
 	// solveNode solves one tree node. With a parent end state the node
 	// resumes the dual simplex from the parent's tableau (falling back to
-	// a cold solve internally on any mismatch); the root passes nil.
+	// a cold solve internally on any mismatch); the root relaxation
+	// passes its donor's state, or nil to solve cold.
 	solveNode := func(fixes []fix, from *lp.State) (*lp.Solution, error) {
 		p := bounded.Clone()
 		for _, f := range fixes {
@@ -282,7 +283,9 @@ func (s *Solver) Solve(ctx context.Context) (*Result, error) {
 		return stamp(&Result{Status: Optimal, X: incumbent, Obj: incumbentObj, Nodes: nodes}), nil
 	}
 
-	open := &nodeHeap{{bound: rootSol.Obj}}
+	// The root is the first node popped; it resumes its own end state
+	// (a no-op re-solve) rather than solving the relaxation again cold.
+	open := &nodeHeap{{bound: rootSol.Obj, from: rootSol.State}}
 	heap.Init(open)
 	done := ctx.Done()
 

@@ -6,13 +6,16 @@
 // hit-rate/latency ledger EXPERIMENTS.md records.
 //
 // The cache architecture is two-level. The outer level — a bounded
-// core.Store — content-addresses whole Sessions on
-// core.SessionKey(source, level): a hash of the inputs that reach the
-// compiler. The inner level is the Session's own per-stage memos, keyed
-// on exactly the knobs that reach each stage (placement, budgets,
-// tracing). A request's effective stage key is therefore (program hash,
-// stage knobs), so identical stage inputs from different requests,
-// connections, or tenants land on one shared computation. Every request
+// core.Store — holds whole Sessions keyed by the compiled program (the
+// fingerprint of what mcc emits), reached through
+// core.SessionKey(source, level) aliases: a request's key compiles once,
+// then resolves to its program's session, so O2 and Os requests that
+// compile to identical code share one. The inner level is the Session's
+// own per-stage memos, keyed on exactly the knobs that reach each stage
+// (placement, budgets, tracing). A request's effective stage key is
+// therefore (program, stage knobs), so identical stage inputs from
+// different requests, connections, levels or tenants land on one shared
+// computation. Every request
 // runs its cells through one evaluation.Sweep over that store — the
 // same code path the sweep CLIs and `flashram -json` take.
 package service

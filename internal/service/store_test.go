@@ -76,9 +76,12 @@ func TestStoreSingleFlight(t *testing.T) {
 
 func TestStoreLRUEviction(t *testing.T) {
 	s := core.NewStore(2)
+	// Each key compiles a different program: keys that compile to one
+	// program share one entry and never evict each other.
+	bench := map[string]string{"a": "crc32", "b": "sha", "c": "fdct"}
 	get := func(key string) {
 		t.Helper()
-		if _, err := s.GetSession(key, buildSession(t, "crc32")); err != nil {
+		if _, err := s.GetSession(key, buildSession(t, bench[key])); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -176,9 +179,10 @@ func TestStoreNeverEvictsInFlight(t *testing.T) {
 		})
 	}()
 	<-started
-	// Overflow the store while the build is in flight.
-	for i := 0; i < 3; i++ {
-		if _, err := s.GetSession(fmt.Sprintf("k%d", i), buildSession(t, "crc32")); err != nil {
+	// Overflow the store with other programs while the build is in
+	// flight.
+	for i, bench := range []string{"sha", "fdct", "2dfir"} {
+		if _, err := s.GetSession(fmt.Sprintf("k%d", i), buildSession(t, bench)); err != nil {
 			t.Fatal(err)
 		}
 	}
